@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"container/heap"
+	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -29,7 +31,9 @@ type shardResult struct {
 // "fanout" (wall time of the whole scatter/join) and "backend_search" (the
 // sum of per-shard search time, i.e. the work the fan-out parallelised).
 // With a non-nil cost it counts the shards that ran and sums the per-shard
-// backend stats at the join.
+// backend stats at the join. A panic inside a shard becomes that shard's
+// error, carrying the panic value and stack, so one bad index fails the
+// query rather than the process.
 func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docIndex, out *shardResult)) ([]shardResult, error) {
 	results := make([]shardResult, len(col.shards))
 	begin := time.Time{}
@@ -46,6 +50,11 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					results[s].err = fmt.Errorf("catalog: collection %q shard %d: panic: %v\n%s", col.name, s, v, debug.Stack())
+				}
+			}()
 			if tr != nil {
 				t0 := time.Now()
 				fn(col.shards[s], &results[s])
@@ -81,76 +90,36 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 	return results, nil
 }
 
-// DocFilter remaps a collection-local document index to the document number
-// reported in hits, or drops the document entirely. Mutable serving layers
-// (internal/ingest) use filters to mask tombstoned documents and renumber
-// the survivors into a merged base+delta view; because the filter is applied
-// per document before any merging, the filtered results are exactly those of
-// a collection that never contained the dropped documents.
-type DocFilter func(doc int) (mapped int, ok bool)
-
-// apply resolves a document index through the filter; a nil filter keeps
-// every document under its own number.
-func (f DocFilter) apply(doc int) (int, bool) {
-	if f == nil {
-		return doc, true
+// statsOf returns the shard's backend counters when the query is costed,
+// nil otherwise (the backends then skip counting entirely).
+func statsOf(c *obs.Cost, out *shardResult) *core.QueryStats {
+	if c == nil {
+		return nil
 	}
-	return f(doc)
+	return &out.stats
 }
 
 // Search reports every occurrence of p with probability strictly greater
 // than tau in any document, ordered by (document, position). tau must
 // satisfy TauMin ≤ tau ≤ 1.
 func (col *Collection) Search(p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(nil, nil, p, tau, nil)
+	return col.SearchObs(nil, nil, p, tau)
 }
 
-// SearchTraced is Search recording per-stage timings into tr (nil tr means
-// no recording; the untraced methods delegate here).
-func (col *Collection) SearchTraced(tr *obs.Trace, p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, nil, p, tau, nil)
-}
-
-// SearchObs is Search recording per-stage timings into tr and resource
-// counters into c (either may be nil).
+// SearchObs is Search recording per-stage timings ("fanout",
+// "backend_search", "merge") into tr and resource counters (shards
+// touched, backend work, merge comparisons) into c; either may be nil.
 func (col *Collection) SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, c, p, tau, nil)
-}
-
-// SearchFiltered is Search restricted to the documents kept by keep, with
-// hits renumbered through it.
-func (col *Collection) SearchFiltered(p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	return col.SearchFilteredObs(nil, nil, p, tau, keep)
-}
-
-// SearchFilteredTraced is SearchFiltered recording per-stage timings
-// ("fanout", "backend_search", "merge") into tr.
-func (col *Collection) SearchFilteredTraced(tr *obs.Trace, p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, nil, p, tau, keep)
-}
-
-// SearchFilteredObs is SearchFiltered recording per-stage timings
-// ("fanout", "backend_search", "merge") into tr and resource counters
-// (shards touched, backend work, merge comparisons) into c.
-func (col *Collection) SearchFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	costed := c != nil
 	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
+		st := statsOf(c, out)
 		for _, di := range shard {
-			doc, ok := keep.apply(di.doc)
-			if !ok {
-				continue
-			}
 			hits, err := di.ix.SearchHitsCosted(p, tau, st)
 			if err != nil {
 				out.err = err
 				return
 			}
 			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
+				out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
 			}
 		}
 	})
@@ -162,29 +131,14 @@ func (col *Collection) SearchFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, t
 	for _, r := range results {
 		merged = append(merged, r.hits...)
 	}
-	SortHitsObs(c, merged)
+	sortHits(c, merged)
 	stop()
 	return merged, nil
 }
 
-// SortHits orders hits by (document, position) — the canonical Search result
-// order.
-func SortHits(hits []DocHit) {
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Doc != hits[b].Doc {
-			return hits[a].Doc < hits[b].Doc
-		}
-		return hits[a].Pos < hits[b].Pos
-	})
-}
-
-// SortHitsObs is SortHits counting sort comparisons into c; with a nil c it
-// is exactly SortHits (no per-comparison counting on the raw path).
-func SortHitsObs(c *obs.Cost, hits []DocHit) {
-	if c == nil {
-		SortHits(hits)
-		return
-	}
+// sortHits orders hits by (document, position) — the canonical Search
+// result order — counting sort comparisons into c (nil records nothing).
+func sortHits(c *obs.Cost, hits []DocHit) {
 	var comps int64
 	sort.Slice(hits, func(a, b int) bool {
 		comps++
@@ -199,43 +153,15 @@ func SortHitsObs(c *obs.Cost, hits []DocHit) {
 // Count returns the total number of occurrences of p with probability
 // strictly greater than tau, without materialising positions.
 func (col *Collection) Count(p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(nil, nil, p, tau, nil)
-}
-
-// CountTraced is Count recording per-stage timings into tr.
-func (col *Collection) CountTraced(tr *obs.Trace, p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(tr, nil, p, tau, nil)
+	return col.CountObs(nil, nil, p, tau)
 }
 
 // CountObs is Count recording per-stage timings into tr and resource
 // counters into c.
 func (col *Collection) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(tr, c, p, tau, nil)
-}
-
-// CountFiltered is Count restricted to the documents kept by keep.
-func (col *Collection) CountFiltered(p []byte, tau float64, keep DocFilter) (int, error) {
-	return col.CountFilteredObs(nil, nil, p, tau, keep)
-}
-
-// CountFilteredTraced is CountFiltered recording per-stage timings into tr.
-func (col *Collection) CountFilteredTraced(tr *obs.Trace, p []byte, tau float64, keep DocFilter) (int, error) {
-	return col.CountFilteredObs(tr, nil, p, tau, keep)
-}
-
-// CountFilteredObs is CountFiltered recording per-stage timings into tr and
-// resource counters into c.
-func (col *Collection) CountFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64, keep DocFilter) (int, error) {
-	costed := c != nil
 	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
+		st := statsOf(c, out)
 		for _, di := range shard {
-			if _, ok := keep.apply(di.doc); !ok {
-				continue
-			}
 			n, err := di.ix.SearchCountCosted(p, tau, st)
 			if err != nil {
 				out.err = err
@@ -270,7 +196,7 @@ func hitLess(a, b DocHit) bool {
 
 // topKHeap is a bounded min-heap keeping the k best hits seen so far; the
 // root is the currently weakest kept hit. comps counts hitLess evaluations
-// for cost attribution (read by MergeTopKObs after the fold).
+// for cost attribution (read by mergeTopK after the fold).
 type topKHeap struct {
 	hits  []DocHit
 	comps int64
@@ -293,57 +219,25 @@ func (h *topKHeap) Pop() any {
 // position). Every per-document index guarantees completeness only down to
 // probability TauMin, so fewer than k hits may be returned.
 func (col *Collection) TopK(p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(nil, nil, p, k, nil)
-}
-
-// TopKTraced is TopK recording per-stage timings into tr.
-func (col *Collection) TopKTraced(tr *obs.Trace, p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, nil, p, k, nil)
+	return col.TopKObs(nil, nil, p, k)
 }
 
 // TopKObs is TopK recording per-stage timings into tr and resource counters
 // into c.
 func (col *Collection) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, c, p, k, nil)
-}
-
-// TopKFiltered is TopK restricted to the documents kept by keep, with hits
-// renumbered through it. Filtering happens before the merge: every kept
-// document contributes its own true top-k, so the merged result is the exact
-// global top-k of the kept documents.
-func (col *Collection) TopKFiltered(p []byte, k int, keep DocFilter) ([]DocHit, error) {
-	return col.TopKFilteredObs(nil, nil, p, k, keep)
-}
-
-// TopKFilteredTraced is TopKFiltered recording per-stage timings into tr.
-func (col *Collection) TopKFilteredTraced(tr *obs.Trace, p []byte, k int, keep DocFilter) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, nil, p, k, keep)
-}
-
-// TopKFilteredObs is TopKFiltered recording per-stage timings into tr and
-// resource counters into c.
-func (col *Collection) TopKFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, k int, keep DocFilter) ([]DocHit, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	costed := c != nil
 	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
+		st := statsOf(c, out)
 		for _, di := range shard {
-			doc, ok := keep.apply(di.doc)
-			if !ok {
-				continue
-			}
 			hits, err := di.ix.SearchTopKCosted(p, k, st)
 			if err != nil {
 				out.err = err
 				return
 			}
 			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
+				out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
 			}
 		}
 	})
@@ -355,26 +249,17 @@ func (col *Collection) TopKFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, k i
 	for i, r := range results {
 		lists[i] = r.hits
 	}
-	merged := MergeTopKObs(c, k, lists...)
+	merged := mergeTopK(c, k, lists...)
 	stop()
 	return merged, nil
 }
 
-// MergeTopK folds candidate hit lists into the k globally best hits in
+// mergeTopK folds candidate hit lists into the k globally best hits in
 // decreasing probability order (ties by document, then position), through a
-// bounded min-heap. Each list must already contain the true per-document
-// top-k of every document it covers — then the merge is exact. The mutable
-// serving layer reuses it to combine base and delta candidates.
-func MergeTopK(k int, lists ...[]DocHit) []DocHit {
-	return MergeTopKObs(nil, k, lists...)
-}
-
-// MergeTopKObs is MergeTopK counting heap comparisons into c (nil records
-// nothing).
-func MergeTopKObs(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
-	if k <= 0 {
-		return nil
-	}
+// bounded min-heap, counting heap comparisons into c (nil records nothing).
+// Each list must already contain the true per-document top-k of every
+// document it covers — then the merge is exact.
+func mergeTopK(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
 	h := topKHeap{hits: make([]DocHit, 0, k+1)}
 	for _, list := range lists {
 		for _, dh := range list {

@@ -2,16 +2,14 @@
 // over internal/catalog that accepts document Put and Delete at runtime
 // while queries keep flowing.
 //
-// Each collection is split into an immutable sharded base (assembled at
-// startup or at the last compaction) and a small delta of documents put
-// since, with deletes recorded as tombstones masking base documents out of
-// every query. Mutations are made durable first — appended to a
-// per-collection write-ahead log and fsynced before they are acknowledged —
-// then indexed (each document whole, by its own core.Backend in the
-// collection's configured representation — plain or compressed) and
-// published by swapping in a fresh generation-stamped View. Queries run
-// entirely against the View they started with, so they observe a consistent
-// collection state and never block on writers or compaction.
+// Each collection is a set of live documents, each indexed whole by its own
+// core.Backend in the collection's configured representation. Mutations are
+// made durable first — appended to a per-collection write-ahead log and
+// fsynced before they are acknowledged — then indexed and published by
+// swapping in a fresh generation-stamped View: one catalog.Collection over
+// exactly the live documents, re-assembled from their already-built indexes.
+// Queries run entirely against the View they started with, so they observe
+// a consistent collection state and never block on writers or compaction.
 //
 // A collection's index backend spec — the kind and, for the approximate
 // ε-index, its error bound — is fixed when the collection is created
@@ -20,18 +18,17 @@
 // a restart rebuilds replayed documents into the same representation with
 // the same parameters. Exact backends change memory footprint and query
 // latency only and answer bit-identically; an approx collection answers
-// every query under its fixed additive error ε — the base+delta overlay
-// needs no special casing because each document is served by exactly one
-// ε-index, so the per-document guarantee (no miss above τ, nothing at or
-// below τ−ε) survives the merge unchanged. Top-k is the one operation an
-// approx collection cannot answer; it is rejected with the typed
-// core.ErrUnsupportedQuery at dispatch.
+// every query under its fixed additive error ε — each document is served by
+// exactly one ε-index, so the per-document guarantee (no miss above τ,
+// nothing at or below τ−ε) holds for every snapshot. Top-k is the one
+// operation an approx collection cannot answer; it is rejected with the
+// typed core.ErrUnsupportedQuery at dispatch.
 //
-// A background compactor folds the delta into a new base once the number of
-// pending documents (delta plus tombstones) crosses a threshold: it writes
-// the full live document set to an atomic checkpoint, truncates the WAL,
-// and re-assembles the base from the already-built indexes — no index is
-// ever rebuilt, so compaction cannot change any query answer. On restart,
+// A background compactor checkpoints a collection once its compaction debt
+// — documents put (delta) or deleted and replaced (tombstones) since the
+// last compaction — crosses a threshold: it writes the full live document
+// set to an atomic checkpoint and truncates the WAL. No index is ever
+// rebuilt, so compaction cannot change any query answer. On restart,
 // Open replays checkpoint + WAL; because replay re-applies the exact logged
 // operation sequence, a WAL that still contains records already captured by
 // the checkpoint (the crash-between-rename-and-truncate window) converges
@@ -218,9 +215,8 @@ type liveColl struct {
 	mu          sync.Mutex
 	wal         *wal
 	live        map[string]core.Backend // every live document, id → index
-	base        *catalog.Collection     // assembled at the last compaction
-	baseIDs     []string                // base document number → id
-	baseIx      []core.Backend          // base document number → index then
+	baseIDs     []string                // live ids at the last compaction
+	baseIx      []core.Backend          // their indexes then, in id order
 	gen         uint64
 	compactions int64
 	// remapped counts the documents this run's Open served straight from
@@ -494,9 +490,8 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 		w.close()
 		return nil, fmt.Errorf("ingest: collection %q: %w", name, err)
 	}
-	// Fold everything into the base so the store starts with an empty
-	// delta; durability is untouched (the WAL keeps its records until the
-	// next checkpoint).
+	// Start with no compaction debt; durability is untouched (the WAL keeps
+	// its records until the next checkpoint).
 	lc.rebaseLocked()
 	lc.publishLocked()
 	return lc, nil
@@ -565,71 +560,32 @@ func (lc *liveColl) sortedLiveLocked() ([]string, []core.Backend) {
 	return ids, ixs
 }
 
-// rebaseLocked re-assembles the base from the entire live set, emptying the
-// delta. Indexes are reused as-is — never rebuilt — so the base stays in
-// the collection's configured backend (every live index was built with it).
+// rebaseLocked records the entire live set as the compacted base, against
+// which publishLocked measures the compaction debt (delta documents and
+// tombstones).
 func (lc *liveColl) rebaseLocked() {
-	copts := lc.store.opts.Catalog
-	ids, ixs := lc.sortedLiveLocked()
-	lc.base = catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, ixs)
-	lc.baseIDs, lc.baseIx = ids, ixs
+	lc.baseIDs, lc.baseIx = lc.sortedLiveLocked()
 }
 
-// publishLocked assembles and swaps in a fresh View of the current state.
+// publishLocked assembles and swaps in a fresh View of the current state:
+// one collection over the live set, reusing every index as-is — never
+// rebuilt — so the view stays in the collection's configured backend.
 func (lc *liveColl) publishLocked() {
 	copts := lc.store.opts.Catalog
 	ids, ixs := lc.sortedLiveLocked()
-	global := make(map[string]int, len(ids))
-	for i, id := range ids {
-		global[id] = i
-	}
-	baseMap := make([]int, len(lc.baseIDs))
-	served := make(map[string]bool, len(lc.baseIDs))
 	tombstones := 0
 	for i, id := range lc.baseIDs {
-		if ix, ok := lc.live[id]; ok && ix == lc.baseIx[i] {
-			baseMap[i] = global[id]
-			served[id] = true
-		} else {
-			baseMap[i] = -1
+		if ix, ok := lc.live[id]; !ok || ix != lc.baseIx[i] {
 			tombstones++
 		}
 	}
-	var deltaIx []core.Backend
-	var deltaMap []int
-	positions := 0
-	indexBytes := 0
-	for gi, id := range ids {
-		// SourceLen, not Source().Len(): re-mapped indexes materialise their
-		// source lazily and publishing a view must not force them resident.
-		positions += core.SourceLen(ixs[gi])
-		indexBytes += ixs[gi].Bytes()
-		if !served[id] {
-			deltaIx = append(deltaIx, ixs[gi])
-			deltaMap = append(deltaMap, gi)
-		}
-	}
-	v := &View{
-		id:         catalog.NextInstanceID(),
+	lc.view.Store(&View{
+		Collection: catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, ixs),
 		gen:        lc.gen,
-		name:       lc.name,
-		tauMin:     copts.TauMin,
-		spec:       lc.spec,
-		docs:       len(ids),
-		positions:  positions,
-		indexBytes: indexBytes,
 		ids:        ids,
+		deltaDocs:  len(ids) - (len(lc.baseIDs) - tombstones),
 		tombstones: tombstones,
-	}
-	if lc.base != nil && lc.base.Docs() > 0 {
-		v.base = lc.base
-		v.baseMap = baseMap
-	}
-	if len(deltaIx) > 0 {
-		v.delta = catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, deltaIx)
-		v.deltaMap = deltaMap
-	}
-	lc.view.Store(v)
+	})
 }
 
 // coll returns the named collection, creating it (with a fresh WAL, using
@@ -868,9 +824,9 @@ func (st *Store) compactor() {
 // was being written.
 var errCompactRaced = errors.New("ingest: compaction raced a writer")
 
-// Compact folds the named collection's delta and tombstones into a fresh
-// base. It reports false when there was nothing to fold. The fold is
-// optimistic: the checkpoint is written outside the writer lock, and
+// Compact checkpoints the named collection, truncating its WAL and clearing
+// its compaction debt (delta and tombstones). It reports false when there
+// was nothing to fold. The fold is optimistic: the checkpoint is written outside the writer lock, and
 // retried if a mutation lands meanwhile — queries are never blocked, and
 // writers only for the final pointer swap.
 func (st *Store) Compact(name string) (bool, error) {
@@ -920,8 +876,8 @@ func (st *Store) CompactAll() (int, error) {
 func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 	lc.mu.Lock()
 	v := lc.view.Load()
-	// A freshly opened store folds replayed records into the in-memory base,
-	// so the delta can be empty while the WAL still holds records; compacting
+	// A freshly opened store starts with no debt even when it replayed
+	// records, so the delta can be empty while the WAL still holds them; compacting
 	// then means checkpointing and truncating so the log cannot grow across
 	// restarts. With both empty there is truly nothing to do.
 	if v.DeltaDocs()+v.Tombstones() == 0 && lc.wal.records == 0 {
@@ -1123,15 +1079,11 @@ func (st *Store) Stats() []catalog.Info {
 		if !ok {
 			continue
 		}
-		shards := v.Shards()
-		if shards == 0 {
-			shards = st.opts.Catalog.Shards
-		}
 		infos = append(infos, catalog.Info{
 			Name:       name,
 			Docs:       v.Docs(),
 			Positions:  v.Positions(),
-			Shards:     shards,
+			Shards:     v.Shards(),
 			TauMin:     v.TauMin(),
 			LongCap:    st.opts.Catalog.LongCap,
 			Backend:    v.Backend(),
@@ -1155,15 +1107,15 @@ func (st *Store) Status() []CollectionStatus {
 		lc.mu.Lock()
 		v := lc.view.Load()
 		cs := CollectionStatus{
-			Name:        name,
-			Backend:     v.Backend(),
-			Epsilon:     v.Epsilon(),
-			Docs:        v.Docs(),
-			IndexBytes:  v.IndexBytes(),
-			DeltaDocs:   v.DeltaDocs(),
-			Tombstones:  v.Tombstones(),
-			Gen:         lc.gen,
-			Epoch:       lc.wal.epoch,
+			Name:         name,
+			Backend:      v.Backend(),
+			Epsilon:      v.Epsilon(),
+			Docs:         v.Docs(),
+			IndexBytes:   v.IndexBytes(),
+			DeltaDocs:    v.DeltaDocs(),
+			Tombstones:   v.Tombstones(),
+			Gen:          lc.gen,
+			Epoch:        lc.wal.epoch,
 			WALRecords:   lc.wal.records,
 			WALBytes:     lc.wal.bytes,
 			Compactions:  lc.compactions,

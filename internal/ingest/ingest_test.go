@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/ustring"
 )
 
@@ -41,8 +43,9 @@ func testDocs(t *testing.T, n int, seed int64) []*ustring.String {
 }
 
 // staticEquivalent builds the reference: a static catalog over the same
-// final document set, in the view's canonical (id-sorted) order.
-func staticEquivalent(t *testing.T, byID map[string]*ustring.String) (*catalog.Collection, []*ustring.String) {
+// final document set, in the view's canonical (id-sorted) order, with the
+// view's backend spec.
+func staticEquivalent(t *testing.T, byID map[string]*ustring.String, spec core.BackendSpec) (*catalog.Collection, []*ustring.String) {
 	t.Helper()
 	ids := make([]string, 0, len(byID))
 	for id := range byID {
@@ -53,7 +56,7 @@ func staticEquivalent(t *testing.T, byID map[string]*ustring.String) (*catalog.C
 	for i, id := range ids {
 		docs[i] = byID[id]
 	}
-	col, err := catalog.New(testCatalogOpts()).Add("static", docs)
+	col, err := catalog.New(testCatalogOpts()).AddWithSpec("static", docs, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,58 +65,80 @@ func staticEquivalent(t *testing.T, byID map[string]*ustring.String) (*catalog.C
 
 // assertEquivalent checks the acceptance property: the view answers
 // Search/TopK/Count bit-identically — positions and probabilities — to a
-// statically built catalog over the same final document set.
+// statically built catalog over the same final document set, at the same
+// cost (every obs.Cost counter and the pre-execution estimate): a view
+// walks only its live documents, once.
 func assertEquivalent(t *testing.T, v *View, byID map[string]*ustring.String) {
 	t.Helper()
-	static, docs := staticEquivalent(t, byID)
+	static, docs := staticEquivalent(t, byID, v.Spec())
 	if v.Docs() != len(docs) {
 		t.Fatalf("view has %d documents, want %d", v.Docs(), len(docs))
 	}
 	if len(docs) == 0 {
 		return
 	}
+	for _, m := range []int{2, 4, 9} {
+		if got, want := v.Estimate(m), static.Estimate(m); got != want {
+			t.Fatalf("Estimate(%d): dynamic %+v, static %+v", m, got, want)
+		}
+	}
+	sameCost := func(q string, got, want obs.Cost) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s cost: dynamic %+v, static %+v", q, got, want)
+		}
+	}
 	checked := 0
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(docs, 6, m, 101) {
 			for _, tau := range []float64{0.1, 0.2} {
-				want, err := static.Search(p, tau)
+				q := fmt.Sprintf("Search(%q, %v)", p, tau)
+				var wantC, gotC obs.Cost
+				want, err := static.SearchObs(nil, &wantC, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := v.Search(p, tau)
+				got, err := v.SearchObs(nil, &gotC, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("Search(%q, %v): dynamic %v, static %v", p, tau, got, want)
+					t.Fatalf("%s: dynamic %v, static %v", q, got, want)
 				}
-				wantN, err := static.Count(p, tau)
+				sameCost(q, gotC, wantC)
+				q = fmt.Sprintf("Count(%q, %v)", p, tau)
+				wantC, gotC = obs.Cost{}, obs.Cost{}
+				wantN, err := static.CountObs(nil, &wantC, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, err := v.Count(p, tau)
+				gotN, err := v.CountObs(nil, &gotC, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gotN != wantN {
-					t.Fatalf("Count(%q, %v) = %d, want %d", p, tau, gotN, wantN)
+					t.Fatalf("%s = %d, want %d", q, gotN, wantN)
 				}
+				sameCost(q, gotC, wantC)
 				if len(want) > 0 {
 					checked++
 				}
 			}
 			for _, k := range []int{1, 3, 10} {
-				want, err := static.TopK(p, k)
+				q := fmt.Sprintf("TopK(%q, %d)", p, k)
+				var wantC, gotC obs.Cost
+				want, err := static.TopKObs(nil, &wantC, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := v.TopK(p, k)
+				got, err := v.TopKObs(nil, &gotC, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("TopK(%q, %d): dynamic %v, static %v", p, k, got, want)
+					t.Fatalf("%s: dynamic %v, static %v", q, got, want)
 				}
+				sameCost(q, gotC, wantC)
 			}
 		}
 	}

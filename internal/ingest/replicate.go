@@ -276,8 +276,8 @@ func (st *Store) Apply(coll string, recs []WALRecord) error {
 	lc.publishLocked()
 	v := lc.view.Load()
 	lc.mu.Unlock()
-	// A follower accumulates delta exactly like a primary; nudge the
-	// background compactor so its views keep a compact base too.
+	// A follower accumulates compaction debt exactly like a primary; nudge
+	// the background compactor so its checkpoint keeps up too.
 	st.maybeCompact(coll, v)
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // View is one immutable, generation-stamped snapshot of a live collection.
@@ -14,124 +12,39 @@ import (
 // started with: it can never observe half of a Put, and compaction never
 // blocks it.
 //
-// A View merges two parts behind one document numbering:
-//
-//   - base: the sharded collection assembled at the last compaction (or at
-//     startup). Documents deleted or replaced since are masked out by a
-//     DocFilter — never returned, never counted.
-//   - delta: the documents put since the last compaction, each indexed
-//     whole at Put time.
-//
-// Documents are numbered by the lexicographic rank of their ID among the
-// live documents, so a collection reached through any Put/Delete/compaction
-// history answers queries bit-identically to a statically built catalog
-// over the same final document set (see the equivalence test).
+// A View is a catalog.Collection over exactly the live documents, assembled
+// at publish time from their already-built indexes (nothing is rebuilt), so
+// every query, metadata getter and cost estimate is the collection's own.
+// Documents are numbered by the lexicographic rank of their ID, so a
+// collection reached through any Put/Delete/compaction history answers
+// queries bit-identically — results and cost counters alike — to a
+// statically built catalog over the same final document set (see the
+// equivalence test). Each publish draws a fresh collection id, which
+// result caches fold into their keys, so a cached result never outlives
+// the snapshot it was computed against.
 type View struct {
-	id         uint64 // process-unique instance id (result-cache key)
-	gen        uint64 // mutation generation of the owning collection
-	name       string
-	tauMin     float64
-	spec       core.BackendSpec // index backend of every live document
-	docs       int
-	positions  int
-	indexBytes int      // summed resident footprint of the live indexes
-	ids        []string // global document number → external id
+	*catalog.Collection
+	gen uint64   // mutation generation of the owning collection
+	ids []string // document number → external id
+	// deltaDocs and tombstones are the compaction debt: live documents put
+	// since the last compaction, and documents of that compaction's set
+	// deleted or replaced since.
+	deltaDocs  int
 	tombstones int
-
-	base     *catalog.Collection
-	baseMap  []int // base document → global number, -1 when masked
-	delta    *catalog.Collection
-	deltaMap []int // delta document → global number
 }
-
-// mapFilter turns a renumbering table into a DocFilter masking -1 entries.
-func mapFilter(m []int) catalog.DocFilter {
-	return func(doc int) (int, bool) {
-		g := m[doc]
-		return g, g >= 0
-	}
-}
-
-// ID returns the snapshot's process-unique instance id. Every published
-// View gets a fresh id from the catalog's sequence, which result caches
-// fold into their keys — a cached result can therefore never outlive the
-// snapshot it was computed against.
-func (v *View) ID() uint64 { return v.id }
 
 // Gen returns the owning collection's mutation generation at publish time.
 func (v *View) Gen() uint64 { return v.gen }
 
-// Name returns the collection name.
-func (v *View) Name() string { return v.name }
+// DeltaDocs returns how many live documents were put since the last
+// compaction.
+func (v *View) DeltaDocs() int { return v.deltaDocs }
 
-// Docs returns the number of live documents.
-func (v *View) Docs() int { return v.docs }
-
-// Positions returns the total positions across live documents.
-func (v *View) Positions() int { return v.positions }
-
-// TauMin returns the construction threshold of every document index.
-func (v *View) TauMin() float64 { return v.tauMin }
-
-// Backend returns the index backend kind of the live documents
-// (core.BackendPlain, core.BackendCompressed or core.BackendApprox).
-func (v *View) Backend() string { return v.spec.Kind }
-
-// Epsilon returns the approx backend's additive error bound (0 for exact
-// backends).
-func (v *View) Epsilon() float64 { return v.spec.Epsilon }
-
-// Spec returns the view's full backend spec (kind plus construction
-// parameters) — consulted by serving layers for capabilities and folded
-// into result-cache keys.
-func (v *View) Spec() core.BackendSpec { return v.spec }
-
-// IndexBytes returns the summed resident footprint of the live documents'
-// indexes at publish time.
-func (v *View) IndexBytes() int { return v.indexBytes }
-
-// Estimate prices a query of patternLen bytes against this snapshot —
-// base and delta parts summed — from statistics the view already holds,
-// without touching any index. Masked base documents are still priced: the
-// structures walk them before the filter drops their hits, so charging for
-// them is the honest estimate.
-func (v *View) Estimate(patternLen int) core.QueryEstimate {
-	var est core.QueryEstimate
-	if v.base != nil {
-		est = v.base.Estimate(patternLen)
-	}
-	if v.delta != nil {
-		d := v.delta.Estimate(patternLen)
-		est.Candidates += d.Candidates
-		est.SuffixSteps += d.SuffixSteps
-		est.IndexBytes += d.IndexBytes
-		est.Units += d.Units
-	}
-	return est
-}
-
-// Shards returns the base collection's fan-out shard count (0 when the view
-// has no base part).
-func (v *View) Shards() int {
-	if v.base == nil {
-		return 0
-	}
-	return v.base.Shards()
-}
-
-// DeltaDocs returns how many live documents are served from the delta part.
-func (v *View) DeltaDocs() int {
-	if v.delta == nil {
-		return 0
-	}
-	return v.delta.Docs()
-}
-
-// Tombstones returns how many base documents are masked out (deleted or
-// replaced since the last compaction).
+// Tombstones returns how many documents of the last compaction's set were
+// deleted or replaced since.
 func (v *View) Tombstones() int { return v.tombstones }
 
-// DocID returns the external id of global document number doc.
+// DocID returns the external id of document number doc.
 func (v *View) DocID(doc int) (string, bool) {
 	if doc < 0 || doc >= len(v.ids) {
 		return "", false
@@ -139,125 +52,11 @@ func (v *View) DocID(doc int) (string, bool) {
 	return v.ids[doc], true
 }
 
-// DocNumber returns the global document number of an external id.
+// DocNumber returns the document number of an external id.
 func (v *View) DocNumber(id string) (int, bool) {
 	i := sort.SearchStrings(v.ids, id)
 	if i < len(v.ids) && v.ids[i] == id {
 		return i, true
 	}
 	return 0, false
-}
-
-// Validate pre-checks a (pattern, tau) query exactly as a static collection
-// would.
-func (v *View) Validate(p []byte, tau float64) error {
-	return core.ValidateQuery(p, tau, v.tauMin)
-}
-
-// Search reports every occurrence of p with probability strictly greater
-// than tau in any live document, ordered by (document, position).
-func (v *View) Search(p []byte, tau float64) ([]catalog.DocHit, error) {
-	return v.SearchTraced(nil, p, tau)
-}
-
-// SearchTraced is Search recording per-stage timings into tr. Both parts
-// (base and delta) accumulate into the same stages, so "fanout" covers the
-// whole snapshot's scatter work.
-func (v *View) SearchTraced(tr *obs.Trace, p []byte, tau float64) ([]catalog.DocHit, error) {
-	return v.SearchObs(tr, nil, p, tau)
-}
-
-// SearchObs is SearchTraced also accumulating resource counters into c;
-// both parts count into the same request-level cost.
-func (v *View) SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]catalog.DocHit, error) {
-	var merged []catalog.DocHit
-	if v.base != nil {
-		hits, err := v.base.SearchFilteredObs(tr, c, p, tau, mapFilter(v.baseMap))
-		if err != nil {
-			return nil, err
-		}
-		merged = hits
-	}
-	if v.delta != nil {
-		hits, err := v.delta.SearchFilteredObs(tr, c, p, tau, mapFilter(v.deltaMap))
-		if err != nil {
-			return nil, err
-		}
-		merged = append(merged, hits...)
-	}
-	stop := tr.StartStage("merge")
-	catalog.SortHitsObs(c, merged)
-	stop()
-	return merged, nil
-}
-
-// Count returns the number of occurrences of p with probability strictly
-// greater than tau across live documents.
-func (v *View) Count(p []byte, tau float64) (int, error) {
-	return v.CountTraced(nil, p, tau)
-}
-
-// CountTraced is Count recording per-stage timings into tr.
-func (v *View) CountTraced(tr *obs.Trace, p []byte, tau float64) (int, error) {
-	return v.CountObs(tr, nil, p, tau)
-}
-
-// CountObs is CountTraced also accumulating resource counters into c.
-func (v *View) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
-	total := 0
-	if v.base != nil {
-		n, err := v.base.CountFilteredObs(tr, c, p, tau, mapFilter(v.baseMap))
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	if v.delta != nil {
-		n, err := v.delta.CountFilteredObs(tr, c, p, tau, mapFilter(v.deltaMap))
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// TopK reports the k most probable occurrences of p across live documents,
-// in decreasing probability order (ties by document, then position). Both
-// parts contribute their true per-document top-k — masking happens before
-// the merge — so the merged result is the exact global top-k of the live
-// document set.
-func (v *View) TopK(p []byte, k int) ([]catalog.DocHit, error) {
-	return v.TopKTraced(nil, p, k)
-}
-
-// TopKTraced is TopK recording per-stage timings into tr.
-func (v *View) TopKTraced(tr *obs.Trace, p []byte, k int) ([]catalog.DocHit, error) {
-	return v.TopKObs(tr, nil, p, k)
-}
-
-// TopKObs is TopKTraced also accumulating resource counters into c.
-func (v *View) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]catalog.DocHit, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	var lists [][]catalog.DocHit
-	if v.base != nil {
-		hits, err := v.base.TopKFilteredObs(tr, c, p, k, mapFilter(v.baseMap))
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, hits)
-	}
-	if v.delta != nil {
-		hits, err := v.delta.TopKFilteredObs(tr, c, p, k, mapFilter(v.deltaMap))
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, hits)
-	}
-	stop := tr.StartStage("merge")
-	merged := catalog.MergeTopKObs(c, k, lists...)
-	stop()
-	return merged, nil
 }

@@ -80,6 +80,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,14 +221,10 @@ type Collection interface {
 	// the admission tier sheds queries estimated over the tenant's budget
 	// before any fan-out is paid.
 	Estimate(patternLen int) core.QueryEstimate
-	Search(p []byte, tau float64) ([]catalog.DocHit, error)
-	TopK(p []byte, k int) ([]catalog.DocHit, error)
-	Count(p []byte, tau float64) (int, error)
-	// The observed variants are the same queries recording per-stage timings
-	// (shard fan-out, backend search, merge) into tr and resource counters
-	// (shards, candidates, suffix steps, index bytes, merge comparisons)
-	// into c; a nil tr or c records nothing. The server's query path always
-	// calls these.
+	// The queries record per-stage timings (shard fan-out, backend search,
+	// merge) into tr and resource counters (shards, candidates, suffix
+	// steps, index bytes, merge comparisons) into c; a nil tr or c records
+	// nothing.
 	SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]catalog.DocHit, error)
 	TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]catalog.DocHit, error)
 	CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error)
@@ -1280,6 +1277,30 @@ type memoryStats struct {
 	Collections []collectionMemory `json:"collections"`
 }
 
+// heapMetrics are the runtime/metrics behind the memory section: live heap
+// objects first, then the rest of the heap's address space. Together they
+// are runtime.MemStats' HeapAlloc and HeapSys, read without stopping the
+// world.
+var heapMetrics = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/free:bytes",
+	"/memory/classes/heap/released:bytes",
+}
+
+// readHeap returns the live-heap and OS-reserved heap sizes.
+func readHeap() (alloc, sys uint64) {
+	var samples [len(heapMetrics)]metrics.Sample
+	for i, name := range heapMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	for _, s := range samples {
+		sys += s.Value.Uint64()
+	}
+	return samples[0].Value.Uint64(), sys
+}
+
 // collectionMemory is one collection's entry in the memory section.
 type collectionMemory struct {
 	Name       string `json:"name"`
@@ -1298,10 +1319,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	colls := make([]CollectionStats, 0)
 	mem := memoryStats{Collections: make([]collectionMemory, 0)}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mem.HeapAllocBytes = ms.HeapAlloc
-	mem.HeapSysBytes = ms.HeapSys
+	mem.HeapAllocBytes, mem.HeapSysBytes = readHeap()
 	for _, info := range s.src.Stats() {
 		colls = append(colls, CollectionStats{
 			Name:       info.Name,

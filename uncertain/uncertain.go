@@ -52,10 +52,10 @@
 // IngestStore (OpenIngest) adds a write path on top of a catalog: Put and
 // Delete mutate collections at runtime, every mutation is appended to a
 // write-ahead log before it is acknowledged, queries run against immutable
-// generation-stamped snapshots (LiveView) merging the compacted base with a
-// delta of recent writes, and a background compactor folds the delta back
-// into the base. A collection reached through any mutation history answers
-// queries bit-identically to a statically built catalog over the same final
+// generation-stamped snapshots (LiveView), each one collection over exactly
+// the live documents, and a background compactor checkpoints the log. A
+// collection reached through any mutation history answers queries
+// bit-identically to a statically built catalog over the same final
 // document set.
 //
 // # Replication
@@ -318,7 +318,7 @@ func LoadCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 }
 
 // IngestStore is the mutable serving layer: WAL-backed document Put/Delete
-// over a catalog, with delta indexes, tombstones and background compaction.
+// over a catalog, with per-mutation snapshots and background compaction.
 type IngestStore = ingest.Store
 
 // IngestOptions configures an IngestStore (WAL directory, construction
@@ -403,8 +403,8 @@ func NewMetricsRegistry() *MetricsRegistry {
 }
 
 // Trace records one request's per-stage timings as it descends the query
-// path; pass it to the *Traced query variants. A nil *Trace is valid and
-// records nothing.
+// path; pass it to the SearchObs/TopKObs/CountObs query forms. A nil *Trace
+// is valid and records nothing.
 type Trace = obs.Trace
 
 // TraceStage is one timed step of a Trace.

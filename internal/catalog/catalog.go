@@ -15,6 +15,22 @@
 //     per-shard candidates through a bounded min-heap;
 //   - Count: the total number of qualifying occurrences.
 //
+// Before it searches a document, a shard tests the document's 64-byte pair
+// signature (core.PairSignature): a hashed set of the adjacent character
+// pairs of its transformed text. Every occurrence an exact backend reports
+// is a window of that text equal to the pattern (Lemma 2), so a document
+// whose signature lacks one of the pattern's pairs holds no occurrence at
+// any τ and is skipped without a backend call. Collisions only let a
+// document through, and correlations only re-weight windows already in the
+// text, so results are unchanged; a query still reads one signature per
+// document, Θ(docs) with a small constant. Only the plain backend keeps a
+// signature (64 B per document): a format-4 compressed index keeps no text
+// to hash and long documents hold every pair of their alphabet anyway,
+// and the approx backend answers under ε semantics the skip rule has not
+// been argued for. Documents without a signature are always searched.
+// Queries are validated before any skip, so a malformed one fails with the
+// backends' sentinel errors.
+//
 // Because a document is always indexed as one unit, the shard count affects
 // only the fan-out: results are bit-identical for every shard count,
 // including the reported probabilities (see the equivalence test). The same
@@ -141,10 +157,15 @@ type DocHit struct {
 	Prob float64
 }
 
-// docIndex pairs a document id with its index backend.
+// docIndex pairs a document id with its index backend and, when the
+// backend keeps one, a copy of its pair signature. The copy is inline so a
+// shard's skip test reads one contiguous slice instead of chasing a
+// pointer per document.
 type docIndex struct {
-	doc int
-	ix  core.Backend
+	doc    int
+	ix     core.Backend
+	sig    core.PairSignature
+	hasSig bool
 }
 
 // Collection is one named, sharded document set. It is immutable after
@@ -361,7 +382,8 @@ func (c *Catalog) assemble(name string, tauMin float64, longCap int, spec core.B
 // per-document indexes, distributing them round-robin over shards (shards
 // < 1 is treated as 1). Index i becomes document i; spec labels the
 // collection's configured backend (the zero spec means plain). Assembly
-// never rebuilds an index, so a collection re-assembled from the same
+// never rebuilds an index — it only copies each plain index's pair
+// signature next to it — so a collection re-assembled from the same
 // indexes answers queries identically — the property the ingest layer
 // relies on when it re-assembles every published view over its live set.
 func FromIndexes(name string, tauMin float64, longCap, shards int, spec core.BackendSpec, ixs []core.Backend) *Collection {
@@ -382,7 +404,11 @@ func FromIndexes(name string, tauMin float64, longCap, shards int, spec core.Bac
 	}
 	for i, ix := range ixs {
 		s := i % len(col.shards)
-		col.shards[s] = append(col.shards[s], docIndex{doc: i, ix: ix})
+		di := docIndex{doc: i, ix: ix}
+		if sig := core.SignatureOf(ix); sig != nil {
+			di.sig, di.hasSig = *sig, true
+		}
+		col.shards[s] = append(col.shards[s], di)
 		// SourceLen, not Source().Len(): the latter would materialise every
 		// lazily-loaded (mmap'd) document source and defeat the O(1) start.
 		col.positions += core.SourceLen(ix)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/ustring"
 )
 
 // calibrationBound is the enforced estimate accuracy: per backend and
@@ -23,26 +24,31 @@ const calibrationBound = 32.0
 // counters. This is the test that fails if either the estimator or the
 // backends drift apart.
 func TestEstimateCalibration(t *testing.T) {
-	docs := gen.Collection(gen.Config{N: 500, Theta: 0.3, Seed: 907})
+	small := gen.Collection(gen.Config{N: 500, Theta: 0.3, Seed: 907})
+	// ≈1.5k short documents: most fail the pair-signature test, so the
+	// measured cost is dominated by the per-document signature reads.
+	many := gen.Collection(gen.Config{N: 50000, Theta: 0.3, Seed: 907})
 	c := New(Options{TauMin: 0.1, Shards: 2})
-	cols := map[string]*Collection{}
-	for _, spec := range []core.BackendSpec{
-		{Kind: core.BackendPlain},
-		{Kind: core.BackendCompressed},
-		{Kind: core.BackendApprox, Epsilon: 0.05},
-	} {
-		col, err := c.AddWithSpec(spec.Kind, docs, spec)
+	cases := []struct {
+		name string
+		docs []*ustring.String
+		spec core.BackendSpec
+	}{
+		{core.BackendPlain, small, core.BackendSpec{Kind: core.BackendPlain}},
+		{core.BackendCompressed, small, core.BackendSpec{Kind: core.BackendCompressed}},
+		{core.BackendApprox, small, core.BackendSpec{Kind: core.BackendApprox, Epsilon: 0.05}},
+		{"plain-many-docs", many, core.BackendSpec{Kind: core.BackendPlain}},
+	}
+
+	for _, tc := range cases {
+		col, err := c.AddWithSpec(tc.name, tc.docs, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols[spec.Kind] = col
-	}
-
-	for kind, col := range cols {
 		for _, m := range []int{2, 4, 8} {
-			pats := gen.CollectionPatterns(docs, 4, m, int64(911+m))
+			pats := gen.CollectionPatterns(tc.docs, 4, m, int64(911+m))
 			if len(pats) == 0 {
-				t.Fatalf("%s m=%d: no patterns sampled", kind, m)
+				t.Fatalf("%s m=%d: no patterns sampled", tc.name, m)
 			}
 			// Average over a few patterns: single queries on small
 			// collections are noisy, the calibration target is the mean.
@@ -60,15 +66,15 @@ func TestEstimateCalibration(t *testing.T) {
 			measured := sumMeasured / float64(len(pats))
 			estimated := sumEstimated / float64(len(pats))
 			if estimated <= 0 || measured <= 0 {
-				t.Fatalf("%s m=%d: degenerate units (est %.1f, measured %.1f)", kind, m, estimated, measured)
+				t.Fatalf("%s m=%d: degenerate units (est %.1f, measured %.1f)", tc.name, m, estimated, measured)
 			}
 			ratio := measured / estimated
 			if ratio > calibrationBound || ratio < 1/calibrationBound {
 				t.Errorf("%s m=%d: measured %.0f vs estimated %.0f units (ratio %.2f, bound %v)",
-					kind, m, measured, estimated, ratio, calibrationBound)
+					tc.name, m, measured, estimated, ratio, calibrationBound)
 			}
 			t.Logf("%s m=%d: measured %.0f, estimated %.0f, ratio %.2f",
-				kind, m, measured, estimated, ratio)
+				tc.name, m, measured, estimated, ratio)
 		}
 	}
 }

@@ -25,16 +25,26 @@ type shardResult struct {
 	err   error
 }
 
-// fanOut runs fn once per non-empty shard concurrently and returns the
-// per-shard results in shard order. Collections are immutable, so the only
-// synchronisation is the join. With a non-nil trace it records two stages:
-// "fanout" (wall time of the whole scatter/join) and "backend_search" (the
-// sum of per-shard search time, i.e. the work the fan-out parallelised).
-// With a non-nil cost it counts the shards that ran and sums the per-shard
-// backend stats at the join. A panic inside a shard becomes that shard's
-// error, carrying the panic value and stack, so one bad index fails the
-// query rather than the process.
-func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docIndex, out *shardResult)) ([]shardResult, error) {
+// docQuery runs one query against one document, appending its answer to
+// out and its backend counters to st (nil when the query is not costed).
+type docQuery func(di *docIndex, st *core.QueryStats, out *shardResult) error
+
+// fanOut scans every non-empty shard concurrently, calling fn for each
+// document that may hold p, and returns the per-shard results in shard
+// order. A document whose pair signature does not cover p's holds no
+// window of its transformed text equal to p, so it is skipped
+// without a backend call; documents without a signature are always
+// searched. Collections are immutable, so the only synchronisation is the
+// join. With a non-nil trace it records two stages: "fanout" (wall time of
+// the whole scatter/join) and "backend_search" (the sum of per-shard scan
+// time, i.e. the work the fan-out parallelised). With a non-nil cost it
+// counts the shards that ran and sums the per-shard backend stats at the
+// join, each signature test counted as core.SignatureBytes of index read.
+// A panic inside a shard becomes that shard's error, carrying the panic
+// value and stack, so one bad index fails the query rather than the
+// process.
+func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, p []byte, fn docQuery) ([]shardResult, error) {
+	psig := core.PatternSignature(p)
 	results := make([]shardResult, len(col.shards))
 	begin := time.Time{}
 	if tr != nil {
@@ -57,11 +67,11 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 			}()
 			if tr != nil {
 				t0 := time.Now()
-				fn(col.shards[s], &results[s])
+				scanShard(col.shards[s], &psig, c != nil, &results[s], fn)
 				results[s].dur = time.Since(t0)
 				return
 			}
-			fn(col.shards[s], &results[s])
+			scanShard(col.shards[s], &psig, c != nil, &results[s], fn)
 		}(s)
 	}
 	wg.Wait()
@@ -90,13 +100,32 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 	return results, nil
 }
 
-// statsOf returns the shard's backend counters when the query is costed,
-// nil otherwise (the backends then skip counting entirely).
-func statsOf(c *obs.Cost, out *shardResult) *core.QueryStats {
-	if c == nil {
-		return nil
+// scanShard runs fn over the shard's documents whose signature covers
+// psig, stopping at the first error. With costed set, fn receives the
+// shard's backend counters (nil otherwise, so the backends skip counting)
+// and the signature tests are added to them.
+func scanShard(shard []docIndex, psig *core.PairSignature, costed bool, out *shardResult, fn docQuery) {
+	var st *core.QueryStats
+	if costed {
+		st = &out.stats
 	}
-	return &out.stats
+	tests := int64(0)
+	for i := range shard {
+		di := &shard[i]
+		if di.hasSig {
+			tests++
+			if !di.sig.Covers(psig) {
+				continue
+			}
+		}
+		if err := fn(di, st, out); err != nil {
+			out.err = err
+			break
+		}
+	}
+	if st != nil {
+		st.IndexBytes += tests * core.SignatureBytes
+	}
 }
 
 // Search reports every occurrence of p with probability strictly greater
@@ -109,19 +138,19 @@ func (col *Collection) Search(p []byte, tau float64) ([]DocHit, error) {
 // SearchObs is Search recording per-stage timings ("fanout",
 // "backend_search", "merge") into tr and resource counters (shards
 // touched, backend work, merge comparisons) into c; either may be nil.
+// The query is validated before any document is skipped, so a malformed
+// one fails with the backends' sentinel errors even when no document could
+// hold it.
 func (col *Collection) SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]DocHit, error) {
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		st := statsOf(c, out)
-		for _, di := range shard {
-			hits, err := di.ix.SearchHitsCosted(p, tau, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
-			}
+	if err := col.Validate(p, tau); err != nil {
+		return nil, err
+	}
+	results, err := col.fanOut(tr, c, p, func(di *docIndex, st *core.QueryStats, out *shardResult) error {
+		hits, err := di.ix.SearchHitsCosted(p, tau, st)
+		for _, h := range hits {
+			out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
 		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -157,18 +186,15 @@ func (col *Collection) Count(p []byte, tau float64) (int, error) {
 }
 
 // CountObs is Count recording per-stage timings into tr and resource
-// counters into c.
+// counters into c, validating the query first as SearchObs does.
 func (col *Collection) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		st := statsOf(c, out)
-		for _, di := range shard {
-			n, err := di.ix.SearchCountCosted(p, tau, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.count += n
-		}
+	if err := col.Validate(p, tau); err != nil {
+		return 0, err
+	}
+	results, err := col.fanOut(tr, c, p, func(di *docIndex, st *core.QueryStats, out *shardResult) error {
+		n, err := di.ix.SearchCountCosted(p, tau, st)
+		out.count += n
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -223,23 +249,21 @@ func (col *Collection) TopK(p []byte, k int) ([]DocHit, error) {
 }
 
 // TopKObs is TopK recording per-stage timings into tr and resource counters
-// into c.
+// into c. The pattern is validated as the backends' top-k validates it (no
+// threshold applies) before any document is skipped.
 func (col *Collection) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]DocHit, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		st := statsOf(c, out)
-		for _, di := range shard {
-			hits, err := di.ix.SearchTopKCosted(p, k, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
-			}
+	if err := core.ValidateQuery(p, 1, 0); err != nil {
+		return nil, err
+	}
+	results, err := col.fanOut(tr, c, p, func(di *docIndex, st *core.QueryStats, out *shardResult) error {
+		hits, err := di.ix.SearchTopKCosted(p, k, st)
+		for _, h := range hits {
+			out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
 		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -260,7 +284,13 @@ func (col *Collection) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]D
 // Each list must already contain the true per-document top-k of every
 // document it covers — then the merge is exact.
 func mergeTopK(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
-	h := topKHeap{hits: make([]DocHit, 0, k+1)}
+	// Size the heap by what can reach it, not by k: a server allows k in
+	// the thousands while most queries return a handful of hits.
+	size := 0
+	for _, list := range lists {
+		size += len(list)
+	}
+	h := topKHeap{hits: make([]DocHit, 0, min(k, size)+1)}
 	for _, list := range lists {
 		for _, dh := range list {
 			if len(h.hits) < k {

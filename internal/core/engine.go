@@ -507,7 +507,7 @@ func (e *Engine) LongLevels() (lo, hi int) { return e.longLo, e.longHi }
 
 // SpaceBreakdown itemises the index memory, the Figure 9(c) accounting.
 type SpaceBreakdown struct {
-	TextAndSA   int // deterministic text + suffix/LCP/rank arrays
+	TextAndSA   int // deterministic text + suffix/LCP/rank arrays (+ the plain index's pair signature)
 	ProbArray   int // global C array
 	PosAndKeys  int // Pos + dedup keys
 	ShortLevels int // RMQ_1..RMQ_logN + duplicate bitmaps

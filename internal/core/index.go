@@ -16,6 +16,8 @@ type Index struct {
 	tr     *factor.Transformed
 	src    *ustring.String
 	tauMin float64
+	// sig is the pair signature of tr.T (signature.go).
+	sig PairSignature
 }
 
 // Option configures Build.
@@ -54,7 +56,15 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{tr: tr, src: s, tauMin: tauMin}
+	return newIndex(s, tr, tauMin, o.longCap), nil
+}
+
+// newIndex assembles a plain index over a validated source and its
+// transformation: the one constructor Build and ReadBackend share, so a
+// loaded index carries the same engine configuration and pair signature as
+// a built one.
+func newIndex(s *ustring.String, tr *factor.Transformed, tauMin float64, longCap int) *Index {
+	ix := &Index{tr: tr, src: s, tauMin: tauMin, sig: PatternSignature(tr.T)}
 	var corr func(xStart, length int) float64
 	if len(s.Corr) > 0 {
 		corr = ix.corrAdjust
@@ -66,10 +76,10 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 		Key:       tr.Pos, // dedup key = original position (Section 5.2)
 		KeySpace:  s.Len(),
 		Corr:      corr,
-		LongCap:   o.longCap,
+		LongCap:   longCap,
 		MaxWindow: tr.MaxFactorLen,
 	})
-	return ix, nil
+	return ix
 }
 
 // corrAdjust returns the log-domain correction factor turning the base
@@ -205,6 +215,7 @@ func (ix *Index) Space() SpaceBreakdown {
 	// Pos/SpanOf/LogP live in the transformation; the engine already counts
 	// Pos (as its Key too) and C, so add only the factor bookkeeping.
 	s.PosAndKeys += len(ix.tr.SpanOf)*4 + len(ix.tr.Spans)*16
+	s.TextAndSA += SignatureBytes
 	return s
 }
 

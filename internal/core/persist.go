@@ -154,22 +154,7 @@ func ReadBackend(r io.Reader) (b Backend, err error) {
 	if backend == BackendCompressed {
 		return newCompressed(p.Source, p.TauMin, p.LongCap, p.SampleRate, p.Tr)
 	}
-	ix := &Index{tr: p.Tr, src: p.Source, tauMin: p.TauMin}
-	var corr func(xStart, length int) float64
-	if len(p.Source.Corr) > 0 {
-		corr = ix.corrAdjust
-	}
-	ix.engine = NewEngine(EngineConfig{
-		T:         p.Tr.T,
-		LogP:      p.Tr.LogP,
-		Pos:       p.Tr.Pos,
-		Key:       p.Tr.Pos,
-		KeySpace:  p.Source.Len(),
-		Corr:      corr,
-		LongCap:   p.LongCap,
-		MaxWindow: p.Tr.MaxFactorLen,
-	})
-	return ix, nil
+	return newIndex(p.Source, p.Tr, p.TauMin, p.LongCap), nil
 }
 
 // ReadIndex deserialises a plain index written by Index.WriteTo. Files

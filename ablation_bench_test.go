@@ -204,14 +204,14 @@ func BenchmarkAblationTopK(b *testing.B) {
 	}
 	b.Run("topk10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.SearchTopK(pats[i%len(pats)], 10); err != nil {
+			if _, err := ix.SearchTopKCosted(pats[i%len(pats)], 10, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.SearchHits(pats[i%len(pats)], 0.05); err != nil {
+			if _, err := ix.SearchHitsCosted(pats[i%len(pats)], 0.05, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

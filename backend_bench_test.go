@@ -95,7 +95,7 @@ func BenchmarkBackendSearch(b *testing.B) {
 				b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := col.Search(pats[i%len(pats)], backendBenchTau); err != nil {
+					if _, err := col.SearchObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -115,7 +115,7 @@ func BenchmarkBackendTopK(b *testing.B) {
 			b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := col.TopK(pats[i%len(pats)], 10); err != nil {
+				if _, err := col.TopKObs(nil, nil, pats[i%len(pats)], 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,7 +132,7 @@ func BenchmarkBackendCount(b *testing.B) {
 			b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Count(pats[i%len(pats)], backendBenchTau); err != nil {
+				if _, err := col.CountObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +204,7 @@ func TestWriteBench4JSON(t *testing.T) {
 		}
 		build := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildBackend(backend, st.docs[i%len(st.docs)], backendBenchTauMin); err != nil {
+				if _, err := (core.BackendSpec{Kind: backend}).Build(st.docs[i%len(st.docs)], backendBenchTauMin); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,7 +214,7 @@ func TestWriteBench4JSON(t *testing.T) {
 			pats := st.pats[m]
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := col.Search(pats[i%len(pats)], backendBenchTau); err != nil {
+					if _, err := col.SearchObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -224,7 +224,7 @@ func TestWriteBench4JSON(t *testing.T) {
 		topk := testing.Benchmark(func(b *testing.B) {
 			pats := st.pats[4]
 			for i := 0; i < b.N; i++ {
-				if _, err := col.TopK(pats[i%len(pats)], 10); err != nil {
+				if _, err := col.TopKObs(nil, nil, pats[i%len(pats)], 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -233,7 +233,7 @@ func TestWriteBench4JSON(t *testing.T) {
 		count := testing.Benchmark(func(b *testing.B) {
 			pats := st.pats[4]
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Count(pats[i%len(pats)], backendBenchTau); err != nil {
+				if _, err := col.CountObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -277,7 +277,7 @@ func medianSearchNs(tb testing.TB, col *catalog.Collection, pats [][]byte, round
 	return func(r int) int64 {
 		start := time.Now()
 		for i := 0; i < batch; i++ {
-			if _, err := col.Search(pats[i%len(pats)], backendBenchTau); err != nil {
+			if _, err := col.SearchObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -367,7 +367,7 @@ func TestWriteBench5JSON(t *testing.T) {
 			pats := st.pats[m]
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := col.Search(pats[i%len(pats)], backendBenchTau); err != nil {
+					if _, err := col.SearchObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -377,7 +377,7 @@ func TestWriteBench5JSON(t *testing.T) {
 		count := testing.Benchmark(func(b *testing.B) {
 			pats := st.pats[4]
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Count(pats[i%len(pats)], backendBenchTau); err != nil {
+				if _, err := col.CountObs(nil, nil, pats[i%len(pats)], backendBenchTau); err != nil {
 					b.Fatal(err)
 				}
 			}

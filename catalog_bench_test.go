@@ -61,7 +61,7 @@ func BenchmarkCatalogSearch(b *testing.B) {
 				pats := st.pats[m]
 				hits := 0
 				for i := 0; i < b.N; i++ {
-					res, err := col.Search(pats[i%len(pats)], 0.15)
+					res, err := col.SearchObs(nil, nil, pats[i%len(pats)], 0.15)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -83,7 +83,7 @@ func BenchmarkCatalogTopK(b *testing.B) {
 				col := st.colls[shards]
 				pats := st.pats[4]
 				for i := 0; i < b.N; i++ {
-					if _, err := col.TopK(pats[i%len(pats)], k); err != nil {
+					if _, err := col.TopKObs(nil, nil, pats[i%len(pats)], k); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -101,7 +101,7 @@ func BenchmarkCatalogCount(b *testing.B) {
 			col := st.colls[shards]
 			pats := st.pats[8]
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Count(pats[i%len(pats)], 0.15); err != nil {
+				if _, err := col.CountObs(nil, nil, pats[i%len(pats)], 0.15); err != nil {
 					b.Fatal(err)
 				}
 			}

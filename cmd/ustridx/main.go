@@ -105,7 +105,7 @@ func cmdSearch(args []string) error {
 		return err
 	}
 	if *probs {
-		hits, err := ix.SearchHits([]byte(*pat), *tau)
+		hits, err := ix.SearchHitsCosted([]byte(*pat), *tau, nil)
 		if err != nil {
 			return err
 		}

@@ -43,11 +43,11 @@ func TestDaemonServesApprox(t *testing.T) {
 	}
 	hits := 0
 	for _, p := range gen.CollectionPatterns(docs, 5, 3, 317) {
-		ha, err := a.Search(p, 0.2)
+		ha, err := a.SearchObs(nil, nil, p, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, err := b.Search(p, 0.2)
+		hb, err := b.SearchObs(nil, nil, p, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,11 +104,11 @@ func TestLoadCatalogSurvivesCorruptCache(t *testing.T) {
 				t.Fatalf("rebuilt catalog lost documents: want %d", a.Docs())
 			}
 			for _, p := range gen.CollectionPatterns(docs, 4, 3, 131) {
-				ha, err := a.Search(p, 0.15)
+				ha, err := a.SearchObs(nil, nil, p, 0.15)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hb, err := b.Search(p, 0.15)
+				hb, err := b.SearchObs(nil, nil, p, 0.15)
 				if err != nil {
 					t.Fatal(err)
 				}

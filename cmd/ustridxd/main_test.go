@@ -57,11 +57,11 @@ func TestLoadCatalogBuildsAndCaches(t *testing.T) {
 		t.Fatalf("cached catalog differs: built %d/%d docs/positions, cached %+v", a.Docs(), a.Positions(), b)
 	}
 	for _, p := range gen.CollectionPatterns(docs, 5, 3, 89) {
-		ha, err := a.Search(p, 0.15)
+		ha, err := a.SearchObs(nil, nil, p, 0.15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, err := b.Search(p, 0.15)
+		hb, err := b.SearchObs(nil, nil, p, 0.15)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func main() {
 
 	for _, motif := range motifs {
 		for _, tau := range []float64{0.5, 0.2} {
-			hits, err := ix.SearchHits([]byte(motif), tau)
+			hits, err := ix.SearchHitsCosted([]byte(motif), tau, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

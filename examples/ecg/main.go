@@ -73,7 +73,7 @@ func main() {
 	for _, q := range queries {
 		fmt.Printf("\npattern %s — %s\n", q.pattern, q.meaning)
 		for _, tau := range []float64{0.8, 0.5, 0.2} {
-			hits, err := ix.SearchHits([]byte(q.pattern), tau)
+			hits, err := ix.SearchHitsCosted([]byte(q.pattern), tau, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

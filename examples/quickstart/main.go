@@ -44,7 +44,7 @@ A:1
 	// 0.5 — only the latter qualifies; the paper uses 1-based positions,
 	// the library 0-based.)
 	for _, tau := range []float64{0.4, 0.1} {
-		hits, err := ix.SearchHits([]byte("AT"), tau)
+		hits, err := ix.SearchHitsCosted([]byte("AT"), tau, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +56,7 @@ A:1
 
 	// Probabilities multiply along the pattern: "SFPQ" at position 1 has
 	// 0.7·1·1·0.5 = 0.35 (Section 3.2).
-	hits, err := ix.SearchHits([]byte("SFPQ"), 0.3)
+	hits, err := ix.SearchHitsCosted([]byte("SFPQ"), 0.3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	// the first six positions with probability 1·1·1·1·(1/2)·1 = 0.5.
 	motif := []byte("TATAAA")
 	for _, tau := range []float64{0.45, 0.2, 0.05} {
-		n, err := ix.SearchCount(motif, tau)
+		n, err := ix.SearchCountCosted(motif, tau, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func main() {
 
 	// Top-k retrieval: the strongest candidate sites regardless of
 	// threshold — what a ranked genome-browser track wants.
-	top, err := ix.SearchTopK(motif, 5)
+	top, err := ix.SearchTopKCosted(motif, 5, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func main() {
 	// position) fall out after two — the threshold is doing the filtering a
 	// combinatorial expansion of the IUPAC codes would need post-processing
 	// for.
-	weak, err := ix.SearchCount([]byte("ACGT"), 0.05)
+	weak, err := ix.SearchCountCosted([]byte("ACGT"), 0.05, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,15 +43,15 @@ func TestCatalogApproxContainment(t *testing.T) {
 	for _, m := range []int{2, 4, 9} {
 		for _, p := range gen.CollectionPatterns(docs, 6, m, int64(251+m)) {
 			for _, tau := range []float64{0.2, 0.35} {
-				got, err := approx.Search(p, tau)
+				got, err := approx.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				upper, err := exact.Search(p, tau)
+				upper, err := exact.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lower, err := exact.Search(p, tau-eps)
+				lower, err := exact.SearchObs(nil, nil, p, tau-eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestCatalogApproxContainment(t *testing.T) {
 						t.Fatalf("Search(%q, %v): approx hit %+v below τ−ε", p, tau, h)
 					}
 				}
-				n, err := approx.Count(p, tau)
+				n, err := approx.CountObs(nil, nil, p, tau)
 				if err != nil || n != len(got) {
 					t.Fatalf("Count(%q, %v) = %d, %v; Search found %d", p, tau, n, err, len(got))
 				}
@@ -80,11 +80,11 @@ func TestCatalogApproxContainment(t *testing.T) {
 	}
 	// TopK on the approx collection is a typed capability rejection
 	// surfacing through the fan-out.
-	if _, err := approx.TopK([]byte("AC"), 3); !errors.Is(err, core.ErrUnsupportedQuery) {
+	if _, err := approx.TopKObs(nil, nil, []byte("AC"), 3); !errors.Is(err, core.ErrUnsupportedQuery) {
 		t.Fatalf("TopK on approx collection: %v, want ErrUnsupportedQuery", err)
 	}
 	// The exact collection in the same catalog keeps full top-k support.
-	if _, err := exact.TopK([]byte("AC"), 3); err != nil {
+	if _, err := exact.TopKObs(nil, nil, []byte("AC"), 3); err != nil {
 		t.Fatalf("TopK on exact collection: %v", err)
 	}
 }
@@ -122,11 +122,11 @@ func TestCatalogApproxSaveLoad(t *testing.T) {
 	hits := 0
 	for _, m := range []int{2, 5} {
 		for _, p := range gen.CollectionPatterns(docs, 5, m, int64(263+m)) {
-			want, err := orig.Search(p, 0.2)
+			want, err := orig.SearchObs(nil, nil, p, 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := loaded.Search(p, 0.2)
+			got, err := loaded.SearchObs(nil, nil, p, 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}

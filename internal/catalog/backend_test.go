@@ -18,7 +18,7 @@ func TestMixedBackendCatalogEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := cat.AddWithBackend("comp", docs, core.BackendCompressed)
+	comp, err := cat.AddWithSpec("comp", docs, core.BackendSpec{Kind: core.BackendCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,22 +33,22 @@ func TestMixedBackendCatalogEquivalence(t *testing.T) {
 	for _, m := range []int{2, 3, 6} {
 		for _, p := range gen.CollectionPatterns(docs, 8, m, int64(181+m)) {
 			for _, tau := range []float64{0.1, 0.2} {
-				want, err := plain.Search(p, tau)
+				want, err := plain.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := comp.Search(p, tau)
+				got, err := comp.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("Search(%q, %v): plain %v, compressed %v", p, tau, want, got)
 				}
-				wantN, err := plain.Count(p, tau)
+				wantN, err := plain.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, err := comp.Count(p, tau)
+				gotN, err := comp.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,11 +58,11 @@ func TestMixedBackendCatalogEquivalence(t *testing.T) {
 				checked++
 			}
 			for _, k := range []int{1, 4, 20} {
-				want, err := plain.TopK(p, k)
+				want, err := plain.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := comp.TopK(p, k)
+				got, err := comp.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func TestMixedBackendSaveLoad(t *testing.T) {
 	if _, err := cat.Add("p", docs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.AddWithBackend("z", docs, core.BackendCompressed); err != nil {
+	if _, err := cat.AddWithSpec("z", docs, core.BackendSpec{Kind: core.BackendCompressed}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -107,11 +107,11 @@ func TestMixedBackendSaveLoad(t *testing.T) {
 			t.Fatalf("collection %q loaded as %q, want %q", name, got.Backend(), backend)
 		}
 		for _, p := range gen.CollectionPatterns(docs, 4, 3, 193) {
-			want, err := orig.Search(p, 0.12)
+			want, err := orig.SearchObs(nil, nil, p, 0.12)
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := got.Search(p, 0.12)
+			have, err := got.SearchObs(nil, nil, p, 0.12)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,15 +5,15 @@
 // A Catalog holds named Collections. Each Collection is a set of uncertain
 // string documents, every document indexed whole by its own core.Backend —
 // the plain suffix-array index or the compressed FM-index representation,
-// chosen per collection at creation (Options.Backend, AddWithBackend) — and
+// chosen per collection at creation (Options.Backend, AddWithSpec) — and
 // assigned round-robin to one of a fixed number of shards. Queries fan out
 // across shards concurrently and merge the per-shard results:
 //
-//   - Search: threshold search (Problem 1) over every document, merged in
-//     (document, position) order;
-//   - TopK: the globally most probable occurrences, merged from the
+//   - SearchObs: threshold search (Problem 1) over every document, merged
+//     in (document, position) order;
+//   - TopKObs: the globally most probable occurrences, merged from the
 //     per-shard candidates through a bounded min-heap;
-//   - Count: the total number of qualifying occurrences.
+//   - CountObs: the total number of qualifying occurrences.
 //
 // Before it searches a document, a shard tests the document's 64-byte pair
 // signature (core.PairSignature): a hashed set of the adjacent character
@@ -81,12 +81,12 @@ type Options struct {
 	// Backend selects the default index backend for new collections
 	// (core.BackendPlain, core.BackendCompressed or core.BackendApprox;
 	// empty means plain). Individual collections may override it via
-	// AddWithBackend/AddWithSpec. Exact backends trade memory against
+	// AddWithSpec. Exact backends trade memory against
 	// latency only; the approx backend additionally trades exactness for
 	// speed (additive error Epsilon).
 	Backend string
-	// Epsilon is the additive error bound used when Backend (or an
-	// AddWithBackend override) selects the approx backend; 0 means
+	// Epsilon is the additive error bound used when Backend (or a kind
+	// passed to Spec) selects the approx backend; 0 means
 	// core.DefaultEpsilon. Ignored by exact backends.
 	Epsilon float64
 	// MMap makes cache loads map format-4 index files instead of reading
@@ -288,18 +288,9 @@ func Open(dir string, opts Options) (*Catalog, error) {
 
 // Add builds indexes for docs on the catalog's worker pool and registers the
 // collection under name, replacing any previous collection of that name. The
-// catalog's default backend is used; AddWithBackend/AddWithSpec override it.
+// catalog's default backend is used; AddWithSpec overrides it.
 func (c *Catalog) Add(name string, docs []*ustring.String) (*Collection, error) {
-	return c.AddWithBackend(name, docs, c.opts.Backend)
-}
-
-// AddWithBackend is Add with an explicit index backend kind for this
-// collection (empty means the catalog default; the approx kind picks up the
-// catalog's Epsilon). Collections of different backends coexist in one
-// catalog; exact backends answer queries bit-identically, the approx backend
-// under its declared ε.
-func (c *Catalog) AddWithBackend(name string, docs []*ustring.String, backend string) (*Collection, error) {
-	spec, err := c.opts.Spec(backend)
+	spec, err := c.opts.Spec("")
 	if err != nil {
 		return nil, fmt.Errorf("catalog: collection %q: %w", name, err)
 	}
@@ -308,6 +299,8 @@ func (c *Catalog) AddWithBackend(name string, docs []*ustring.String, backend st
 
 // AddWithSpec is Add with a full backend spec (kind plus construction
 // parameters) for this collection. The zero spec means the plain backend.
+// Collections of different backends coexist in one catalog; exact backends
+// answer queries bit-identically, the approx backend under its declared ε.
 func (c *Catalog) AddWithSpec(name string, docs []*ustring.String, spec core.BackendSpec) (*Collection, error) {
 	if name == "" {
 		return nil, fmt.Errorf("catalog: empty collection name")

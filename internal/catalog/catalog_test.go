@@ -100,7 +100,7 @@ func TestOpenDirectory(t *testing.T) {
 	col, _ := c.Get("proteins")
 	pats := gen.CollectionPatterns(docs, 5, 4, 13)
 	for _, p := range pats {
-		if _, err := col.Search(p, 0.15); err != nil {
+		if _, err := col.SearchObs(nil, nil, p, 0.15); err != nil {
 			t.Fatalf("Search(%q): %v", p, err)
 		}
 	}
@@ -108,16 +108,16 @@ func TestOpenDirectory(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	col := testCatalog(t, testDocs(t, 300, 17), 2)
-	if _, err := col.Search(nil, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
+	if _, err := col.SearchObs(nil, nil, nil, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
 		t.Fatalf("Search(empty) err = %v, want ErrEmptyPattern", err)
 	}
-	if _, err := col.Search([]byte("AC"), 1.5); !errors.Is(err, core.ErrTauOutOfRange) {
+	if _, err := col.SearchObs(nil, nil, []byte("AC"), 1.5); !errors.Is(err, core.ErrTauOutOfRange) {
 		t.Fatalf("Search(tau=1.5) err = %v, want ErrTauOutOfRange", err)
 	}
-	if _, err := col.Search([]byte("AC"), 0.01); !errors.Is(err, core.ErrTauBelowTauMin) {
+	if _, err := col.SearchObs(nil, nil, []byte("AC"), 0.01); !errors.Is(err, core.ErrTauBelowTauMin) {
 		t.Fatalf("Search(tau<taumin) err = %v, want ErrTauBelowTauMin", err)
 	}
-	if _, err := col.Count([]byte{}, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
+	if _, err := col.CountObs(nil, nil, []byte{}, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
 		t.Fatalf("Count(empty) err = %v, want ErrEmptyPattern", err)
 	}
 	if err := col.Validate([]byte{0}, 0.2); !errors.Is(err, core.ErrBadPattern) {
@@ -126,7 +126,7 @@ func TestQueryErrors(t *testing.T) {
 	if err := col.Validate([]byte("AC"), 0.2); err != nil {
 		t.Fatalf("Validate(valid) err = %v", err)
 	}
-	if hits, err := col.TopK([]byte("AC"), 0); err != nil || hits != nil {
+	if hits, err := col.TopKObs(nil, nil, []byte("AC"), 0); err != nil || hits != nil {
 		t.Fatalf("TopK(k=0) = %v, %v; want nil, nil", hits, err)
 	}
 	c := New(Options{})
@@ -162,11 +162,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for _, m := range []int{3, 6} {
 		for _, p := range gen.CollectionPatterns(docs, 8, m, 29) {
-			a, err := orig.Search(p, 0.15)
+			a, err := orig.SearchObs(nil, nil, p, 0.15)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := got.Search(p, 0.15)
+			b, err := got.SearchObs(nil, nil, p, 0.15)
 			if err != nil {
 				t.Fatal(err)
 			}

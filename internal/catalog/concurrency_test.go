@@ -28,13 +28,13 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 	}
 	want := make([]baseline, len(pats))
 	for i, p := range pats {
-		if want[i].hits, err = col.Search(p, 0.15); err != nil {
+		if want[i].hits, err = col.SearchObs(nil, nil, p, 0.15); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].top, err = col.TopK(p, 3); err != nil {
+		if want[i].top, err = col.TopKObs(nil, nil, p, 3); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].count, err = col.Count(p, 0.15); err != nil {
+		if want[i].count, err = col.CountObs(nil, nil, p, 0.15); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,19 +50,19 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 				p := pats[i]
 				switch round % 3 {
 				case 0:
-					got, err := col.Search(p, 0.15)
+					got, err := col.SearchObs(nil, nil, p, 0.15)
 					if err != nil || !reflect.DeepEqual(got, want[i].hits) {
 						errs <- "Search mismatch"
 						return
 					}
 				case 1:
-					got, err := col.TopK(p, 3)
+					got, err := col.TopKObs(nil, nil, p, 3)
 					if err != nil || !reflect.DeepEqual(got, want[i].top) {
 						errs <- "TopK mismatch"
 						return
 					}
 				default:
-					got, err := col.Count(p, 0.15)
+					got, err := col.CountObs(nil, nil, p, 0.15)
 					if err != nil || got != want[i].count {
 						errs <- "Count mismatch"
 						return

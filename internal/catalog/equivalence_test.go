@@ -26,7 +26,7 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 		for _, p := range gen.Patterns(s, 10, m, 37) {
 			for _, tau := range []float64{0.1, 0.15, 0.3} {
 				want := directHits(t, single, 0, p, tau)
-				got, err := col.Search(p, tau)
+				got, err := col.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -36,7 +36,7 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("Search(%q, %v): sharded %v, single %v", p, tau, got, want)
 				}
-				n, err := col.Count(p, tau)
+				n, err := col.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 					t.Fatalf("Count(%q, %v) = %d, want %d", p, tau, n, len(want))
 				}
 			}
-			top, err := single.SearchTopK(p, 5)
+			top, err := single.SearchTopKCosted(p, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 				wantTop = append(wantTop, DocHit{Doc: 0, Pos: int(h.Orig), Prob: h.Prob()})
 			}
 			sort.Slice(wantTop, func(a, b int) bool { return hitLess(wantTop[a], wantTop[b]) })
-			gotTop, err := col.TopK(p, 5)
+			gotTop, err := col.TopKObs(nil, nil, p, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,11 +64,11 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 	}
 }
 
-// directHits runs SearchHits on a bare index and normalises to the
+// directHits runs SearchHitsCosted on a bare index and normalises to the
 // catalog's (doc, pos) order for comparison.
 func directHits(t *testing.T, ix *core.Index, doc int, p []byte, tau float64) []DocHit {
 	t.Helper()
-	hits, err := ix.SearchHits(p, tau)
+	hits, err := ix.SearchHitsCosted(p, tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestShardCountEquivalence(t *testing.T) {
 	for _, m := range []int{2, 3, 5, 8} {
 		for _, p := range gen.CollectionPatterns(docs, 12, m, 43) {
 			for _, tau := range []float64{0.1, 0.2} {
-				want, err := unsharded.Search(p, tau)
+				want, err := unsharded.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,18 +119,18 @@ func TestShardCountEquivalence(t *testing.T) {
 					t.Fatalf("unsharded catalog diverges from direct indexes on %q", p)
 				}
 				for name, col := range map[string]*Collection{"4-shard": sharded, "7-shard": uneven} {
-					got, err := col.Search(p, tau)
+					got, err := col.SearchObs(nil, nil, p, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s Search(%q, %v) = %v, want %v", name, p, tau, got, want)
 					}
-					wantN, err := unsharded.Count(p, tau)
+					wantN, err := unsharded.CountObs(nil, nil, p, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotN, err := col.Count(p, tau)
+					gotN, err := col.CountObs(nil, nil, p, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,12 +141,12 @@ func TestShardCountEquivalence(t *testing.T) {
 				checked++
 			}
 			for _, k := range []int{1, 3, 10} {
-				want, err := unsharded.TopK(p, k)
+				want, err := unsharded.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for name, col := range map[string]*Collection{"4-shard": sharded, "7-shard": uneven} {
-					got, err := col.TopK(p, k)
+					got, err := col.TopKObs(nil, nil, p, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,7 +169,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	col := testCatalog(t, docs, 4)
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(docs, 6, m, 59) {
-			all, err := col.Search(p, 0.1)
+			all, err := col.SearchObs(nil, nil, p, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 				if len(want) > k {
 					want = want[:k]
 				}
-				got, err := col.TopK(p, k)
+				got, err := col.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,7 +55,7 @@ func TestShardPanicBecomesError(t *testing.T) {
 			}
 		}
 	}
-	if _, err := healthy.Search(p, 0.15); err != nil {
+	if _, err := healthy.SearchObs(nil, nil, p, 0.15); err != nil {
 		t.Fatalf("healthy collection after the panics: %v", err)
 	}
 }

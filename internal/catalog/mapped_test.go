@@ -20,12 +20,12 @@ func collGrid(t *testing.T, docs []*ustring.String, col *Collection) []any {
 	for _, m := range []int{2, 4, 7} {
 		for _, p := range gen.CollectionPatterns(docs, 4, m, 61) {
 			for _, tau := range []float64{0.1, 0.3, 0.7} {
-				hits, err := col.Search(p, tau)
+				hits, err := col.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatalf("Search(%q, %v): %v", p, tau, err)
 				}
-				n, _ := col.Count(p, tau)
-				top, _ := col.TopK(p, 5)
+				n, _ := col.CountObs(nil, nil, p, tau)
+				top, _ := col.TopKObs(nil, nil, p, 5)
 				out = append(out, hits, n, top)
 			}
 		}
@@ -176,7 +176,7 @@ func TestHotCollectionsEviction(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%q) failed after grace window", name)
 		}
-		if _, err := col.Search([]byte("ab"), 0.3); err != nil {
+		if _, err := col.SearchObs(nil, nil, []byte("ab"), 0.3); err != nil {
 			t.Fatalf("query on %q after grace window: %v", name, err)
 		}
 	}

@@ -128,14 +128,9 @@ func scanShard(shard []docIndex, psig *core.PairSignature, costed bool, out *sha
 	}
 }
 
-// Search reports every occurrence of p with probability strictly greater
+// SearchObs reports every occurrence of p with probability strictly greater
 // than tau in any document, ordered by (document, position). tau must
-// satisfy TauMin ≤ tau ≤ 1.
-func (col *Collection) Search(p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchObs(nil, nil, p, tau)
-}
-
-// SearchObs is Search recording per-stage timings ("fanout",
+// satisfy TauMin ≤ tau ≤ 1. It records per-stage timings ("fanout",
 // "backend_search", "merge") into tr and resource counters (shards
 // touched, backend work, merge comparisons) into c; either may be nil.
 // The query is validated before any document is skipped, so a malformed
@@ -179,14 +174,10 @@ func sortHits(c *obs.Cost, hits []DocHit) {
 	c.AddMergeComparisons(comps)
 }
 
-// Count returns the total number of occurrences of p with probability
-// strictly greater than tau, without materialising positions.
-func (col *Collection) Count(p []byte, tau float64) (int, error) {
-	return col.CountObs(nil, nil, p, tau)
-}
-
-// CountObs is Count recording per-stage timings into tr and resource
-// counters into c, validating the query first as SearchObs does.
+// CountObs returns the total number of occurrences of p with probability
+// strictly greater than tau, without materialising positions. It records
+// per-stage timings into tr and resource counters into c, validating the
+// query first as SearchObs does.
 func (col *Collection) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
 	if err := col.Validate(p, tau); err != nil {
 		return 0, err
@@ -240,17 +231,13 @@ func (h *topKHeap) Pop() any {
 	return x
 }
 
-// TopK reports the k globally most probable occurrences of p across all
+// TopKObs reports the k globally most probable occurrences of p across all
 // documents, in decreasing probability order (ties by document, then
 // position). Every per-document index guarantees completeness only down to
-// probability TauMin, so fewer than k hits may be returned.
-func (col *Collection) TopK(p []byte, k int) ([]DocHit, error) {
-	return col.TopKObs(nil, nil, p, k)
-}
-
-// TopKObs is TopK recording per-stage timings into tr and resource counters
-// into c. The pattern is validated as the backends' top-k validates it (no
-// threshold applies) before any document is skipped.
+// probability TauMin, so fewer than k hits may be returned. It records
+// per-stage timings into tr and resource counters into c. The pattern is
+// validated as the backends' top-k validates it (no threshold applies)
+// before any document is skipped.
 func (col *Collection) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]DocHit, error) {
 	if k <= 0 {
 		return nil, nil

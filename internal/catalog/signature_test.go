@@ -60,16 +60,16 @@ func TestSignatureSkipsUnmatchablePattern(t *testing.T) {
 		{"tau above 1", p, 1.5, core.ErrTauOutOfRange},
 	}
 	for _, b := range bad {
-		if _, err := col.Search(b.p, b.tau); !errors.Is(err, b.want) {
+		if _, err := col.SearchObs(nil, nil, b.p, b.tau); !errors.Is(err, b.want) {
 			t.Errorf("Search(%s) err = %v, want %v", b.name, err, b.want)
 		}
-		if _, err := col.Count(b.p, b.tau); !errors.Is(err, b.want) {
+		if _, err := col.CountObs(nil, nil, b.p, b.tau); !errors.Is(err, b.want) {
 			t.Errorf("Count(%s) err = %v, want %v", b.name, err, b.want)
 		}
 	}
 	// Top-k has no threshold: only the pattern itself is validated.
 	for _, b := range bad[:2] {
-		if _, err := col.TopK(b.p, 5); !errors.Is(err, b.want) {
+		if _, err := col.TopKObs(nil, nil, b.p, 5); !errors.Is(err, b.want) {
 			t.Errorf("TopK(%s) err = %v, want %v", b.name, err, b.want)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // probability ≤ τ−ε, and each reported probability underestimates the truth
 // by at most ε.
 //
-// SearchTopK is rejected with ErrUnsupportedQuery: the ε-index ranks hits
+// SearchTopKCosted is rejected with ErrUnsupportedQuery: the ε-index ranks hits
 // by their ε-approximate probabilities, so a "top-k" could order hits whose
 // true probabilities differ by up to ε arbitrarily — serving layers consult
 // Capabilities().TopK and refuse the operation up front instead of
@@ -42,32 +42,13 @@ func BuildApprox(s *ustring.String, tauMin, epsilon float64) (*ApproxBackend, er
 	return &ApproxBackend{ix: ix}, nil
 }
 
-// Search reports every position where p occurs with probability greater
-// than tau, possibly with false positives down to τ−ε, in increasing
-// position order.
-func (ab *ApproxBackend) Search(p []byte, tau float64) ([]int, error) {
-	ms, err := ab.search(p, tau, nil)
-	if err != nil || len(ms) == 0 {
-		return nil, err
-	}
-	out := make([]int, len(ms))
-	for i, m := range ms {
-		out[i] = m.Pos
-	}
-	return out, nil
-}
-
-// SearchHits is Search with the ε-approximate per-occurrence probabilities
-// (each a lower bound within ε of the truth), in increasing position order
-// — the Backend contract only fixes the hit set; the sequence is
-// backend-specific, and the position order is what the ε-index produces
-// without paying a per-query sort.
-func (ab *ApproxBackend) SearchHits(p []byte, tau float64) ([]Hit, error) {
-	return ab.SearchHitsCosted(p, tau, nil)
-}
-
-// SearchHitsCosted is SearchHits accumulating cost counters into st (nil
-// records nothing).
+// SearchHitsCosted reports every position where p occurs with probability
+// greater than tau, possibly with false positives down to τ−ε, with the
+// ε-approximate per-occurrence probabilities (each a lower bound within ε
+// of the truth), in increasing position order, accumulating cost counters
+// into st (nil records nothing). The Backend contract only fixes the hit
+// set; the position order is what the ε-index produces without paying a
+// per-query sort.
 func (ab *ApproxBackend) SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error) {
 	ms, err := ab.search(p, tau, st)
 	if err != nil || len(ms) == 0 {
@@ -83,24 +64,15 @@ func (ab *ApproxBackend) SearchHitsCosted(p []byte, tau float64, st *QueryStats)
 	return hits, nil
 }
 
-// SearchTopK is not supported by the approximate backend.
-func (ab *ApproxBackend) SearchTopK(p []byte, k int) ([]Hit, error) {
+// SearchTopKCosted is not supported by the approximate backend.
+func (ab *ApproxBackend) SearchTopKCosted(p []byte, k int, _ *QueryStats) ([]Hit, error) {
 	return nil, fmt.Errorf("%w: top-k requires an exact backend, collection uses %q (ε=%g)",
 		ErrUnsupportedQuery, BackendApprox, ab.ix.Epsilon())
 }
 
-// SearchTopKCosted is not supported by the approximate backend.
-func (ab *ApproxBackend) SearchTopKCosted(p []byte, k int, _ *QueryStats) ([]Hit, error) {
-	return ab.SearchTopK(p, k)
-}
-
-// SearchCount counts occurrences above tau under the same ε guarantee as
-// Search, without materialising positions for the caller.
-func (ab *ApproxBackend) SearchCount(p []byte, tau float64) (int, error) {
-	return ab.SearchCountCosted(p, tau, nil)
-}
-
-// SearchCountCosted is SearchCount accumulating cost counters into st.
+// SearchCountCosted counts occurrences above tau under the same ε guarantee
+// as SearchHitsCosted, without materialising positions for the caller,
+// accumulating cost counters into st.
 func (ab *ApproxBackend) SearchCountCosted(p []byte, tau float64, st *QueryStats) (int, error) {
 	ms, err := ab.search(p, tau, st)
 	if err != nil {

@@ -109,13 +109,13 @@ func TestApproxBackendContainment(t *testing.T) {
 		for _, m := range []int{3, 8, 24} {
 			for _, p := range gen.Patterns(doc, 8, m, int64(227+m)) {
 				for _, tau := range []float64{0.2, 0.35} {
-					got, err := ab.Search(p, tau)
+					got, err := ab.SearchHitsCosted(p, tau, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gotSet := make(map[int]bool, len(got))
-					for _, pos := range got {
-						gotSet[pos] = true
+					for _, h := range got {
+						gotSet[int(h.Orig)] = true
 					}
 					upper, err := exact.Search(p, tau)
 					if err != nil {
@@ -126,7 +126,7 @@ func TestApproxBackendContainment(t *testing.T) {
 							t.Fatalf("ε=%v: approx missed %q at %d (true prob > τ=%v)", eps, p, pos, tau)
 						}
 					}
-					lowerHits, err := exact.SearchHits(p, tau-eps)
+					lowerHits, err := exact.SearchHitsCosted(p, tau-eps, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -134,14 +134,7 @@ func TestApproxBackendContainment(t *testing.T) {
 					for _, h := range lowerHits {
 						truth[int(h.Orig)] = h.Prob()
 					}
-					approxHits, err := ab.SearchHits(p, tau)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(approxHits) != len(got) {
-						t.Fatalf("SearchHits returned %d hits, Search %d positions", len(approxHits), len(got))
-					}
-					for _, h := range approxHits {
+					for _, h := range got {
 						tp, ok := truth[int(h.Orig)]
 						if !ok {
 							t.Fatalf("ε=%v: approx reported %q at %d, absent from the exact set at τ−ε=%v",
@@ -152,9 +145,9 @@ func TestApproxBackendContainment(t *testing.T) {
 							t.Fatalf("reported prob %v outside [truth−ε, truth] = [%v, %v]", ap, tp-eps, tp)
 						}
 					}
-					n, err := ab.SearchCount(p, tau)
+					n, err := ab.SearchCountCosted(p, tau, nil)
 					if err != nil || n != len(got) {
-						t.Fatalf("SearchCount = %d, %v; Search found %d", n, err, len(got))
+						t.Fatalf("SearchCountCosted = %d, %v; SearchHitsCosted found %d", n, err, len(got))
 					}
 					checked++
 					reported += len(got)
@@ -175,18 +168,18 @@ func TestApproxBackendTopKUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ab.SearchTopK([]byte("AC"), 5); !errors.Is(err, ErrUnsupportedQuery) {
+	if _, err := ab.SearchTopKCosted([]byte("AC"), 5, nil); !errors.Is(err, ErrUnsupportedQuery) {
 		t.Fatalf("SearchTopK error = %v, want ErrUnsupportedQuery", err)
 	}
 	// The core validation sentinels surface unchanged, so serving layers map
 	// them to the same statuses as for exact backends.
-	if _, err := ab.Search(nil, 0.5); !errors.Is(err, ErrEmptyPattern) {
+	if _, err := ab.SearchHitsCosted(nil, 0.5, nil); !errors.Is(err, ErrEmptyPattern) {
 		t.Fatalf("empty pattern error = %v", err)
 	}
-	if _, err := ab.Search([]byte("A"), 0.02); !errors.Is(err, ErrTauBelowTauMin) {
+	if _, err := ab.SearchHitsCosted([]byte("A"), 0.02, nil); !errors.Is(err, ErrTauBelowTauMin) {
 		t.Fatalf("tau below tauMin error = %v", err)
 	}
-	if _, err := ab.Search([]byte("A"), 1.5); !errors.Is(err, ErrTauOutOfRange) {
+	if _, err := ab.SearchHitsCosted([]byte("A"), 1.5, nil); !errors.Is(err, ErrTauOutOfRange) {
 		t.Fatalf("tau out of range error = %v", err)
 	}
 }
@@ -217,11 +210,11 @@ func TestApproxBackendPersistRoundTrip(t *testing.T) {
 	}
 	for _, m := range []int{2, 6} {
 		for _, p := range gen.Patterns(doc, 6, m, int64(239+m)) {
-			want, err := ab.SearchHits(p, 0.2)
+			want, err := ab.SearchHitsCosted(p, 0.2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := lb.SearchHits(p, 0.2)
+			got, err := lb.SearchHitsCosted(p, 0.2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,12 +22,12 @@ package core
 //
 // The exact backends compute window probabilities through the identical
 // prob.Prefix arithmetic over the identical Lemma 2 transformation, so they
-// answer Search/TopK/Count with bit-identical positions and probabilities
-// (see backend_test.go for the equivalence grid). The approximate backend
-// instead declares its semantics through Capabilities: serving layers
-// consult them before dispatch and reject operations a backend cannot
-// answer (SearchTopK on the ε-index) with the typed ErrUnsupportedQuery
-// rather than silently degrading.
+// answer hits, top-k and counts with bit-identical positions and
+// probabilities (see backend_test.go for the equivalence grid). The
+// approximate backend instead declares its semantics through Capabilities:
+// serving layers consult them before dispatch and reject operations a
+// backend cannot answer (top-k on the ε-index) with the typed
+// ErrUnsupportedQuery rather than silently degrading.
 
 import (
 	"errors"
@@ -63,7 +63,7 @@ func BackendKinds() []string {
 }
 
 // ErrUnsupportedQuery reports an operation a backend's semantics cannot
-// answer (for example SearchTopK on the approximate ε-index, whose ranking
+// answer (for example top-k on the approximate ε-index, whose ranking
 // guarantee is only ε-accurate). Serving layers map it to a 4xx status —
 // the request is well-formed, the collection's backend just does not
 // support it.
@@ -88,15 +88,16 @@ func ParseBackend(s string) (string, error) {
 // them before dispatching an operation, so an unsupported combination is a
 // typed rejection instead of a panic or a silently wrong answer.
 type Capabilities struct {
-	// Exact reports whether Search/SearchHits/SearchCount answer the precise
-	// occurrence set with bit-identical probabilities across backends.
+	// Exact reports whether SearchHitsCosted/SearchCountCosted answer the
+	// precise occurrence set with bit-identical probabilities across
+	// backends.
 	Exact bool
 	// Epsilon is the additive error bound of an approximate backend: every
 	// reported hit has true probability > τ−ε and reported probabilities
 	// underestimate the truth by at most ε. 0 for exact backends.
 	Epsilon float64
-	// TopK reports whether SearchTopK is supported. Backends without it
-	// answer SearchTopK with ErrUnsupportedQuery.
+	// TopK reports whether SearchTopKCosted is supported. Backends without
+	// it answer ErrUnsupportedQuery.
 	TopK bool
 }
 
@@ -229,36 +230,31 @@ func SpecOf(b Backend) BackendSpec {
 // implementations are immutable after construction and safe for concurrent
 // use. Exact backends (Capabilities().Exact) answer each method
 // bit-identically for one document and construction threshold — the same
-// positions and the same probabilities: ordered results (Search's position
-// order, SearchTopK's canonical order) match as exact sequences, and
-// SearchHits guarantees the identical hit *set* (position, probability)
-// while the sequence of equal-probability hits may differ by backend.
+// positions and the same probabilities: SearchTopKCosted's canonical order
+// matches as an exact sequence, and SearchHitsCosted guarantees the
+// identical hit *set* (position, probability) while the sequence of
+// equal-probability hits may differ by backend.
 // Approximate backends answer under their declared ε instead: the reported
 // set contains every occurrence above τ, contains nothing at or below τ−ε,
 // and reported probabilities are within ε below the truth.
 type Backend interface {
-	// Search reports every starting position where p occurs with
-	// probability strictly greater than tau (under the backend's declared
-	// semantics), in increasing position order.
-	Search(p []byte, tau float64) ([]int, error)
-	// SearchHits is Search with per-occurrence probabilities. Only the hit
-	// set is part of the cross-backend contract; the sequence is
-	// backend-specific (callers needing an order sort, as the catalog's
+	// SearchHitsCosted reports every occurrence of p with probability
+	// strictly greater than tau (under the backend's declared semantics).
+	// Only the hit set is part of the cross-backend contract; the sequence
+	// is backend-specific (callers needing an order sort, as the catalog's
 	// merge does).
-	SearchHits(p []byte, tau float64) ([]Hit, error)
-	// SearchTopK reports the k most probable occurrences under the
+	SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error)
+	// SearchTopKCosted reports the k most probable occurrences under the
 	// canonical order: decreasing probability, ties by increasing position.
 	// Backends whose Capabilities lack TopK answer ErrUnsupportedQuery.
-	SearchTopK(p []byte, k int) ([]Hit, error)
-	// SearchCount counts occurrences above tau without materialising them.
-	SearchCount(p []byte, tau float64) (int, error)
-	// SearchHitsCosted, SearchTopKCosted and SearchCountCosted answer
-	// identically to their plain counterparts while accumulating the
-	// query's resource counters into st — the per-document slice of the
-	// serving tier's request-level cost attribution. A nil st is valid and
-	// records nothing; implementations must not retain st.
-	SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error)
 	SearchTopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error)
+	// SearchCountCosted counts the occurrences SearchHitsCosted would
+	// report without materialising them.
+	//
+	// Each query method accumulates the query's resource counters into st —
+	// the per-document slice of the serving tier's request-level cost
+	// attribution. A nil st is valid and records nothing; implementations
+	// must not retain st.
 	SearchCountCosted(p []byte, tau float64, st *QueryStats) (int, error)
 	// TauMin returns the construction threshold.
 	TauMin() float64
@@ -292,14 +288,3 @@ func (ix *Index) Capabilities() Capabilities { return Capabilities{Exact: true, 
 
 // Capabilities reports exact semantics with full top-k support.
 func (cx *CompressedIndex) Capabilities() Capabilities { return Capabilities{Exact: true, TopK: true} }
-
-// BuildBackend builds the named backend over s for thresholds ≥ tauMin with
-// that kind's default parameters (approx gets DefaultEpsilon). The empty
-// kind selects BackendPlain; use BackendSpec.Build to control parameters.
-func BuildBackend(kind string, s *ustring.String, tauMin float64, opts ...Option) (Backend, error) {
-	sp, err := NewBackendSpec(kind, 0)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Build(s, tauMin, opts...)
-}

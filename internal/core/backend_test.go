@@ -26,6 +26,17 @@ func views(hits []Hit) []hitView {
 	return out
 }
 
+// positionsOf is the Problem 1 answer carried by hits: their original
+// positions in increasing order, nil when there are none.
+func positionsOf(hits []Hit) []int {
+	var out []int
+	for _, h := range hits {
+		out = append(out, int(h.Orig))
+	}
+	sort.Ints(out)
+	return out
+}
+
 func sortedViews(hits []Hit) []hitView {
 	out := views(hits)
 	sort.Slice(out, func(a, b int) bool {
@@ -38,8 +49,8 @@ func sortedViews(hits []Hit) []hitView {
 }
 
 // checkBackendGrid drives both backends through the full query grid —
-// Search, SearchHits, SearchTopK, SearchCount over a spread of pattern
-// lengths, thresholds and k — and requires bit-identical answers.
+// positions, hits, top-k and counts over a spread of pattern lengths,
+// thresholds and k — and requires bit-identical answers.
 func checkBackendGrid(t *testing.T, s *ustring.String, plain *Index, comp *CompressedIndex, tauMin float64) {
 	t.Helper()
 	taus := []float64{tauMin, tauMin * 1.5, 0.3, 0.6, 0.95}
@@ -48,31 +59,32 @@ func checkBackendGrid(t *testing.T, s *ustring.String, plain *Index, comp *Compr
 	for _, m := range []int{1, 2, 3, 5, 8, 13, 21, 40} {
 		for _, p := range gen.Patterns(s, 6, m, int64(101+m)) {
 			for _, tau := range taus {
-				wantPos, err1 := plain.Search(p, tau)
-				gotPos, err2 := comp.Search(p, tau)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("Search(%q, %v): plain err %v, compressed err %v", p, tau, err1, err2)
+				var searchStats, countStats QueryStats
+				wantPos, err := plain.Search(p, tau)
+				if err != nil {
+					t.Fatal(err)
 				}
+				wantHits, err := plain.SearchHitsCosted(p, tau, &searchStats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotHits, err := comp.SearchHitsCosted(p, tau, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotPos := positionsOf(gotHits)
 				if !reflect.DeepEqual(wantPos, gotPos) {
 					t.Fatalf("Search(%q, %v): plain %v, compressed %v", p, tau, wantPos, gotPos)
-				}
-				wantHits, err := plain.SearchHits(p, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotHits, err := comp.SearchHits(p, tau)
-				if err != nil {
-					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(sortedViews(wantHits), sortedViews(gotHits)) {
 					t.Fatalf("SearchHits(%q, %v): plain %v, compressed %v",
 						p, tau, sortedViews(wantHits), sortedViews(gotHits))
 				}
-				wantN, err := plain.SearchCount(p, tau)
+				wantN, err := plain.SearchCountCosted(p, tau, &countStats)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, err := comp.SearchCount(p, tau)
+				gotN, err := comp.SearchCountCosted(p, tau, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,13 +92,19 @@ func checkBackendGrid(t *testing.T, s *ustring.String, plain *Index, comp *Compr
 					t.Fatalf("SearchCount(%q, %v): plain %d, compressed %d, %d positions",
 						p, tau, wantN, gotN, len(wantPos))
 				}
+				// Count runs the threshold traversal itself, so it must
+				// cost exactly what the search costs in every length regime.
+				if countStats != searchStats {
+					t.Fatalf("plain (%q, %v): count stats %+v, search stats %+v",
+						p, tau, countStats, searchStats)
+				}
 			}
 			for _, k := range []int{1, 2, 5, 100} {
-				wantTop, err := plain.SearchTopK(p, k)
+				wantTop, err := plain.SearchTopKCosted(p, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTop, err := comp.SearchTopK(p, k)
+				gotTop, err := comp.SearchTopKCosted(p, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +164,17 @@ func TestBackendEquivalenceScanFallback(t *testing.T) {
 	checkBackendGrid(t, s, plain, comp, 0.1)
 }
 
-// TestBackendBuildDispatch covers BuildBackend's kind handling.
+// buildKind builds the named backend kind with its default parameters.
+func buildKind(kind string, s *ustring.String, tauMin float64, opts ...Option) (Backend, error) {
+	sp, err := NewBackendSpec(kind, 0)
+	if err != nil {
+		return nil, err
+	}
+	return sp.Build(s, tauMin, opts...)
+}
+
+// TestBackendBuildDispatch covers the kind handling of building from a
+// NewBackendSpec.
 func TestBackendBuildDispatch(t *testing.T) {
 	s := gen.Single(gen.Config{N: 300, Theta: 0.3, Seed: 29})
 	for kind, want := range map[string]string{
@@ -154,16 +182,16 @@ func TestBackendBuildDispatch(t *testing.T) {
 		BackendPlain:      BackendPlain,
 		BackendCompressed: BackendCompressed,
 	} {
-		b, err := BuildBackend(kind, s, 0.1)
+		b, err := buildKind(kind, s, 0.1)
 		if err != nil {
-			t.Fatalf("BuildBackend(%q): %v", kind, err)
+			t.Fatalf("build %q: %v", kind, err)
 		}
 		if b.Kind() != want {
-			t.Fatalf("BuildBackend(%q).Kind() = %q, want %q", kind, b.Kind(), want)
+			t.Fatalf("build %q: Kind() = %q, want %q", kind, b.Kind(), want)
 		}
 	}
-	if _, err := BuildBackend("zlib", s, 0.1); err == nil {
-		t.Fatal("BuildBackend accepted an unknown kind")
+	if _, err := buildKind("zlib", s, 0.1); err == nil {
+		t.Fatal("an unknown kind was built")
 	}
 	if _, err := ParseBackend("zlib"); err == nil {
 		t.Fatal("ParseBackend accepted an unknown kind")
@@ -176,7 +204,7 @@ func TestBackendBuildDispatch(t *testing.T) {
 func TestBackendPersistRoundTrip(t *testing.T) {
 	s := gen.Single(gen.Config{N: 1200, Theta: 0.35, Seed: 31, Correlations: 10})
 	for _, kind := range []string{BackendPlain, BackendCompressed} {
-		b, err := BuildBackend(kind, s, 0.1, WithSampleRate(16))
+		b, err := buildKind(kind, s, 0.1, WithSampleRate(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +224,11 @@ func TestBackendPersistRoundTrip(t *testing.T) {
 		}
 		for _, m := range []int{2, 4, 9} {
 			for _, p := range gen.Patterns(s, 4, m, int64(211+m)) {
-				want, err := b.SearchHits(p, 0.1)
+				want, err := b.SearchHitsCosted(p, 0.1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := loaded.SearchHits(p, 0.1)
+				got, err := loaded.SearchHitsCosted(p, 0.1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/factor"
@@ -176,33 +175,9 @@ func (cx *CompressedIndex) bestPerKey(p []byte, st *QueryStats) []Hit {
 	return out
 }
 
-// Search reports every starting position where p occurs with probability
-// strictly greater than tau, in increasing position order (Problem 1).
-func (cx *CompressedIndex) Search(p []byte, tau float64) ([]int, error) {
-	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, h := range cx.bestPerKey(p, nil) {
-		if prob.Greater(h.LogProb, tau) {
-			out = append(out, int(h.Orig))
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// SearchHits is Search with per-occurrence probabilities, in decreasing
-// probability order (ties by increasing position).
-func (cx *CompressedIndex) SearchHits(p []byte, tau float64) ([]Hit, error) {
-	return cx.SearchHitsCosted(p, tau, nil)
-}
-
-// SearchHitsCosted is SearchHits accumulating cost counters into st (nil
-// records nothing).
+// SearchHitsCosted reports every occurrence of p with probability strictly
+// greater than tau, in decreasing probability order (ties by increasing
+// position), accumulating cost counters into st (nil records nothing).
 func (cx *CompressedIndex) SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error) {
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return nil, err
@@ -217,15 +192,10 @@ func (cx *CompressedIndex) SearchHitsCosted(p []byte, tau float64, st *QueryStat
 	return hits, nil
 }
 
-// SearchTopK reports the k most probable occurrences of p under the
+// SearchTopKCosted reports the k most probable occurrences of p under the
 // canonical order (decreasing probability, ties by increasing position) —
-// the same sequence the plain backend reports. All returned hits have
-// probability ≥ tauMin.
-func (cx *CompressedIndex) SearchTopK(p []byte, k int) ([]Hit, error) {
-	return cx.SearchTopKCosted(p, k, nil)
-}
-
-// SearchTopKCosted is SearchTopK accumulating cost counters into st.
+// the same sequence the plain backend reports — accumulating cost counters
+// into st. All returned hits have probability ≥ tauMin.
 func (cx *CompressedIndex) SearchTopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	if err := ValidateQuery(p, 1, 0); err != nil {
 		return nil, err
@@ -244,13 +214,9 @@ func (cx *CompressedIndex) SearchTopKCosted(p []byte, k int, st *QueryStats) ([]
 	return hits, nil
 }
 
-// SearchCount returns the number of occurrences of p with probability
-// strictly greater than tau, without materialising positions.
-func (cx *CompressedIndex) SearchCount(p []byte, tau float64) (int, error) {
-	return cx.SearchCountCosted(p, tau, nil)
-}
-
-// SearchCountCosted is SearchCount accumulating cost counters into st.
+// SearchCountCosted returns the number of occurrences of p with probability
+// strictly greater than tau, without materialising positions for the
+// caller, accumulating cost counters into st.
 func (cx *CompressedIndex) SearchCountCosted(p []byte, tau float64, st *QueryStats) (int, error) {
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return 0, err

@@ -22,11 +22,11 @@ func TestParallelBuildIsDeterministic(t *testing.T) {
 	}
 	for _, m := range []int{1, 3, 6, 12, 20} {
 		for _, p := range gen.Patterns(s, 10, m, 409) {
-			ha, err := a.SearchHits(p, 0.12)
+			ha, err := a.SearchHitsCosted(p, 0.12, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hb, err := b.SearchHits(p, 0.12)
+			hb, err := b.SearchHitsCosted(p, 0.12, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

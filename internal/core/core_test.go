@@ -147,7 +147,7 @@ func TestSearchHitsProbabilities(t *testing.T) {
 	}
 	pats := gen.Patterns(s, 20, 4, 79)
 	for _, p := range pats {
-		hits, err := ix.SearchHits(p, 0.12)
+		hits, err := ix.SearchHitsCosted(p, 0.12, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestDuplicateElimination(t *testing.T) {
 		}
 		for m := 1; m <= 3; m++ {
 			for _, p := range allPatterns(m, 3) {
-				hits, err := ix.SearchHits(p, 0.05)
+				hits, err := ix.SearchHitsCosted(p, 0.05, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -382,8 +382,8 @@ func TestReflectDeepEqualHitsAreStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := gen.Patterns(s, 1, 5, 137)[0]
-	a, _ := ix.SearchHits(p, 0.12)
-	b, _ := ix.SearchHits(p, 0.12)
+	a, _ := ix.SearchHitsCosted(p, 0.12, nil)
+	b, _ := ix.SearchHitsCosted(p, 0.12, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("repeated query returned different hits")
 	}

@@ -30,10 +30,10 @@ func TestAllBelowTauMin(t *testing.T) {
 	if got != nil {
 		t.Errorf("Search on empty transformation = %v, want nil", got)
 	}
-	if n, err := ix.SearchCount([]byte("ab"), 0.7); err != nil || n != 0 {
+	if n, err := ix.SearchCountCosted([]byte("ab"), 0.7, nil); err != nil || n != 0 {
 		t.Errorf("Count = %d, %v", n, err)
 	}
-	if top, err := ix.SearchTopK([]byte("a"), 3); err != nil || top != nil {
+	if top, err := ix.SearchTopKCosted([]byte("a"), 3, nil); err != nil || top != nil {
 		t.Errorf("TopK = %v, %v", top, err)
 	}
 }

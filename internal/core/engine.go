@@ -300,6 +300,12 @@ type Hit struct {
 // Prob returns the plain-domain probability of the hit.
 func (h Hit) Prob() float64 { return prob.Exp(h.LogProb) }
 
+// hitAt is the hit for suffix-array entry j with log probability lp.
+func (e *Engine) hitAt(j int, lp float64) Hit {
+	x := e.tx.SA()[j]
+	return Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: lp}
+}
+
 // ValidateQuery reports the error a query with the given pattern and
 // threshold would return, without running it: ErrEmptyPattern, ErrBadPattern,
 // ErrTauOutOfRange, or ErrTauBelowTauMin when tau < tauMin. Serving layers
@@ -327,29 +333,38 @@ func (e *Engine) validate(p []byte, tau float64) error {
 	return ValidateQuery(p, tau, 0)
 }
 
-// Query reports every non-duplicate window matching p with probability
-// strictly greater than tau, in decreasing probability order.
-func (e *Engine) Query(p []byte, tau float64) ([]Hit, error) {
-	return e.QueryCosted(p, tau, nil)
+// QueryCosted reports every non-duplicate window matching p with
+// probability strictly greater than tau, accumulating cost counters into st
+// (nil records nothing). Hits arrive in traversal order; only the set is
+// specified.
+func (e *Engine) QueryCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error) {
+	var hits []Hit
+	err := e.query(p, tau, func(j int, lp float64) { hits = append(hits, e.hitAt(j, lp)) }, st)
+	return hits, err
 }
 
-// QueryCosted is Query accumulating cost counters into st (nil records
-// nothing).
-func (e *Engine) QueryCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error) {
+// CountCosted returns the number of non-duplicate windows QueryCosted would
+// report, running the same traversal without materialising them.
+func (e *Engine) CountCosted(p []byte, tau float64, st *QueryStats) (int, error) {
+	n := 0
+	err := e.query(p, tau, func(int, float64) { n++ }, st)
+	return n, err
+}
+
+// query is the threshold traversal shared by QueryCosted and CountCosted:
+// it finds p's suffix range and calls report with the suffix-array entry
+// and log probability of every qualifying window, through the traversal of
+// p's length regime.
+func (e *Engine) query(p []byte, tau float64, report func(j int, lp float64), st *QueryStats) error {
 	if err := e.validate(p, tau); err != nil {
-		return nil, err
+		return err
 	}
 	lo, hi, ok, probes := e.tx.RangeCount(p)
 	st.add(0, int64(probes), int64(probes)*int64(4+len(p)))
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	m := len(p)
-	var hits []Hit
-	report := func(j int, lp float64) {
-		x := e.tx.SA()[j]
-		hits = append(hits, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: lp})
-	}
 	switch {
 	case m <= e.levels:
 		e.queryShort(m, lo, hi, tau, report, st)
@@ -358,7 +373,7 @@ func (e *Engine) QueryCosted(p []byte, tau float64, st *QueryStats) ([]Hit, erro
 	default:
 		e.queryScan(m, lo, hi, tau, report, st)
 	}
-	return hits, nil
+	return nil
 }
 
 // queryShort is the optimal O(m + occ) recursive range-maximum extraction of

@@ -131,7 +131,7 @@ func corrAdjust(src *ustring.String, t []byte, logp []float64, pos []int32, xSta
 // probability strictly greater than tau, in increasing position order
 // (Problem 1). tau must satisfy tauMin ≤ tau ≤ 1.
 func (ix *Index) Search(p []byte, tau float64) ([]int, error) {
-	hits, err := ix.SearchHits(p, tau)
+	hits, err := ix.SearchHitsCosted(p, tau, nil)
 	if err != nil || len(hits) == 0 {
 		return nil, err
 	}
@@ -143,14 +143,9 @@ func (ix *Index) Search(p []byte, tau float64) ([]int, error) {
 	return out, nil
 }
 
-// SearchHits is Search with per-occurrence probabilities, in decreasing
-// probability order (the natural order of the recursive RMQ extraction).
-func (ix *Index) SearchHits(p []byte, tau float64) ([]Hit, error) {
-	return ix.SearchHitsCosted(p, tau, nil)
-}
-
-// SearchHitsCosted is SearchHits accumulating cost counters into st (nil
-// records nothing).
+// SearchHitsCosted is Search with per-occurrence probabilities, in the
+// order of the recursive RMQ extraction, accumulating cost counters into st
+// (nil records nothing).
 func (ix *Index) SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit, error) {
 	if err := ValidateQuery(p, tau, ix.tauMin); err != nil {
 		return nil, err
@@ -158,41 +153,23 @@ func (ix *Index) SearchHitsCosted(p []byte, tau float64, st *QueryStats) ([]Hit,
 	return ix.engine.QueryCosted(p, tau, st)
 }
 
-// SearchTopK reports the k most probable occurrences of p, in decreasing
-// probability order (ties by increasing position). Because every transformed
-// occurrence has probability at least tauMin, top-k below that mass may be
-// incomplete; all returned hits satisfy probability ≥ tauMin.
-func (ix *Index) SearchTopK(p []byte, k int) ([]Hit, error) {
-	return ix.engine.TopK(p, k)
-}
-
-// SearchTopKCosted is SearchTopK accumulating cost counters into st.
+// SearchTopKCosted reports the k most probable occurrences of p, in
+// decreasing probability order (ties by increasing position), accumulating
+// cost counters into st. Because every transformed occurrence has
+// probability at least tauMin, top-k below that mass may be incomplete; all
+// returned hits satisfy probability ≥ tauMin.
 func (ix *Index) SearchTopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	return ix.engine.TopKCosted(p, k, st)
 }
 
-// SearchCount returns the number of occurrences of p with probability
-// strictly greater than tau, without materialising positions.
-func (ix *Index) SearchCount(p []byte, tau float64) (int, error) {
-	return ix.SearchCountCosted(p, tau, nil)
-}
-
-// SearchCountCosted is SearchCount accumulating cost counters into st.
+// SearchCountCosted returns the number of occurrences of p with probability
+// strictly greater than tau, without materialising positions, accumulating
+// cost counters into st.
 func (ix *Index) SearchCountCosted(p []byte, tau float64, st *QueryStats) (int, error) {
 	if err := ValidateQuery(p, tau, ix.tauMin); err != nil {
 		return 0, err
 	}
 	return ix.engine.CountCosted(p, tau, st)
-}
-
-// SearchIter streams occurrences of p above tau in decreasing probability
-// order (unordered for patterns longer than log N) until visit returns
-// false.
-func (ix *Index) SearchIter(p []byte, tau float64, visit func(Hit) bool) error {
-	if err := ValidateQuery(p, tau, ix.tauMin); err != nil {
-		return err
-	}
-	return ix.engine.Iterate(p, tau, visit)
 }
 
 // TauMin returns the construction threshold.

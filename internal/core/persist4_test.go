@@ -13,7 +13,7 @@ import (
 	"repro/internal/ustring"
 )
 
-// queryGrid runs the full Search/SearchHits/SearchTopK/SearchCount grid
+// queryGrid runs the full hits/top-k/count grid
 // against both backends and fails on any bit-level divergence — the
 // equivalence contract exact backends share, here used to prove the
 // format-4 load paths (heap views and mmap views) reproduce the built
@@ -26,28 +26,23 @@ func queryGrid(t *testing.T, s *ustring.String, want, got Backend, label string)
 	for _, m := range []int{2, 3, 5, 8, 13} {
 		for _, p := range gen.Patterns(s, 6, m, 419) {
 			for _, tau := range []float64{0.1, 0.2, 0.4, 0.8} {
-				a, errA := want.Search(p, tau)
-				b, errB := got.Search(p, tau)
+				ha, errA := want.SearchHitsCosted(p, tau, nil)
+				hb, errB := got.SearchHitsCosted(p, tau, nil)
 				if (errA == nil) != (errB == nil) {
-					t.Fatalf("%s: Search(%q, %v) err %v vs %v", label, p, tau, errA, errB)
+					t.Fatalf("%s: SearchHits(%q, %v) err %v vs %v", label, p, tau, errA, errB)
 				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s: Search(%q, %v) = %v, want %v", label, p, tau, b, a)
-				}
-				ca, _ := want.SearchCount(p, tau)
-				cb, _ := got.SearchCount(p, tau)
+				ca, _ := want.SearchCountCosted(p, tau, nil)
+				cb, _ := got.SearchCountCosted(p, tau, nil)
 				if ca != cb {
 					t.Fatalf("%s: SearchCount(%q, %v) = %d, want %d", label, p, tau, cb, ca)
 				}
-				ha, _ := want.SearchHits(p, tau)
-				hb, _ := got.SearchHits(p, tau)
 				if !reflect.DeepEqual(ha, hb) {
 					t.Fatalf("%s: SearchHits(%q, %v) diverges", label, p, tau)
 				}
 			}
 			for _, k := range []int{1, 3, 10} {
-				ka, _ := want.SearchTopK(p, k)
-				kb, _ := got.SearchTopK(p, k)
+				ka, _ := want.SearchTopKCosted(p, k, nil)
+				kb, _ := got.SearchTopKCosted(p, k, nil)
 				if !reflect.DeepEqual(ka, kb) {
 					t.Fatalf("%s: SearchTopK(%q, %d) diverges", label, p, k)
 				}
@@ -162,11 +157,12 @@ func TestFormat4CorrelatedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := built.Search([]byte("eqz"), 0.5)
-	b, err := got.Search([]byte("eqz"), 0.5)
+	ha, _ := built.SearchHitsCosted([]byte("eqz"), 0.5, nil)
+	hb, err := got.SearchHitsCosted([]byte("eqz"), 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := positionsOf(ha), positionsOf(hb)
 	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(b, []int{0}) {
 		t.Errorf("correlated search over mmap = %v, want %v", b, a)
 	}
@@ -201,7 +197,7 @@ func TestFormat4Hostile(t *testing.T) {
 		}
 		// Mutation landed in padding (not covered by checksums): the load
 		// must still answer queries without panicking.
-		if _, err := b.Search([]byte("ab"), 0.2); err != nil {
+		if _, err := b.SearchHitsCosted([]byte("ab"), 0.2, nil); err != nil {
 			t.Fatalf("loaded index cannot query: %v", err)
 		}
 	}
@@ -261,10 +257,10 @@ func FuzzReadBackend(f *testing.F) {
 			return
 		}
 		// A load that passed full validation must be queryable.
-		if _, err := b.Search([]byte("ab"), 0.5); err != nil {
+		if _, err := b.SearchHitsCosted([]byte("ab"), 0.5, nil); err != nil {
 			t.Fatalf("fuzzed index cannot query: %v", err)
 		}
-		_, _ = b.SearchCount([]byte("a"), 0.9)
+		_, _ = b.SearchCountCosted([]byte("a"), 0.9, nil)
 		_ = CloseBackend(b)
 	})
 }

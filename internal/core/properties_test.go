@@ -137,7 +137,7 @@ func TestPropertyLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := gen.Patterns(s, 1, 4, 523)[0]
-	hits, err := ix.SearchHits(p, 0.1)
+	hits, err := ix.SearchHitsCosted(p, 0.1, nil)
 	if err != nil || len(hits) == 0 {
 		t.Skip("no hits to test locality on")
 	}
@@ -167,7 +167,7 @@ func TestPropertyLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits2, err := ix2.SearchHits(p, 0.1)
+	hits2, err := ix2.SearchHitsCosted(p, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

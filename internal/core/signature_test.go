@@ -91,7 +91,7 @@ func TestPairSignatureSound(t *testing.T) {
 
 	s := gen.Single(gen.Config{N: 60, Theta: 0.3, Seed: 5})
 	for _, kind := range []string{BackendCompressed, BackendApprox} {
-		b, err := BuildBackend(kind, s, 0.1)
+		b, err := buildKind(kind, s, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

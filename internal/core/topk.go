@@ -9,17 +9,15 @@ import (
 
 // This file extends the index with the query variations the paper lists as
 // future work ("variations of the string searching problem satisfying
-// diverse query constraints"). All of them fall out of the same recursive
+// diverse query constraints"). Both fall out of the same recursive
 // range-maximum machinery:
 //
-//   - TopK: the k most probable occurrences, best-first, without a
+//   - TopKCosted: the k most probable occurrences, best-first, without a
 //     threshold. The recursion that proves O(m + occ) for threshold queries
 //     turns into a best-first search over suffix-range fragments with a
 //     max-heap, giving O(m + k log k).
-//   - Count: the number of occurrences above τ (reported without
-//     materialising positions).
-//   - Iterate: streaming extraction in decreasing probability order with
-//     caller-controlled early termination.
+//   - CountCosted (engine.go): the number of occurrences above τ, counted
+//     on the threshold traversal without materialising positions.
 
 // fragment is a pending suffix-range piece in the best-first search.
 type fragment struct {
@@ -37,19 +35,14 @@ func (h fragHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
 func (h *fragHeap) Push(x any)        { *h = append(*h, x.(fragment)) }
 func (h *fragHeap) Pop() any          { old := *h; n := len(old); f := old[n-1]; *h = old[:n-1]; return f }
 
-// TopK returns the k most probable non-duplicate occurrences of p, in the
-// canonical order: decreasing probability, ties by increasing original
-// position. The canonical order makes the result a pure function of the
+// TopKCosted returns the k most probable non-duplicate occurrences of p,
+// in the canonical order: decreasing probability, ties by increasing
+// original position, accumulating cost counters into st (nil records
+// nothing). The canonical order makes the result a pure function of the
 // occurrence set, so every backend (and every shard layout above) reports
 // the identical top-k sequence. Only short patterns (m ≤ log N) run
-// best-first; longer patterns fall back to a full threshold query at τ→0
+// best-first; longer patterns fall back to a full threshold scan at τ = 0
 // followed by selection.
-func (e *Engine) TopK(p []byte, k int) ([]Hit, error) {
-	return e.TopKCosted(p, k, nil)
-}
-
-// TopKCosted is TopK accumulating cost counters into st (nil records
-// nothing).
 func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	if err := e.validate(p, 1); err != nil {
 		return nil, err
@@ -64,7 +57,7 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	}
 	m := len(p)
 	if m > e.levels {
-		return e.topKLong(p, m, lo, hi, k, st)
+		return e.topKLong(m, lo, hi, k, st), nil
 	}
 	level := e.short[m-1]
 	var h fragHeap
@@ -97,8 +90,7 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 			break
 		}
 		f := heap.Pop(&h).(fragment)
-		x := e.tx.SA()[f.j]
-		out = append(out, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: f.lp})
+		out = append(out, e.hitAt(f.j, f.lp))
 		push(f.l, f.j-1)
 		push(f.j+1, f.r)
 	}
@@ -110,32 +102,16 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	return out, nil
 }
 
-// topKLong selects the k best hits from a scan of the suffix range.
-func (e *Engine) topKLong(p []byte, m, lo, hi, k int, st *QueryStats) ([]Hit, error) {
-	scanned := int64(hi - lo + 1)
-	st.add(scanned, 0, scanned*plainCandidateBytes)
-	best := map[int32]Hit{}
-	for j := lo; j <= hi; j++ {
-		lp := e.rawCi(m, j)
-		if lp == prob.LogZero {
-			continue
-		}
-		x := e.tx.SA()[j]
-		key := e.key[x]
-		if prev, ok := best[key]; !ok || lp > prev.LogProb {
-			best[key] = Hit{XPos: x, Orig: e.pos[x], Key: key, LogProb: lp}
-		}
-	}
-	out := make([]Hit, 0, len(best))
-	for _, h := range best {
-		out = append(out, h)
-	}
-	// Partial selection: k is typically tiny relative to the range.
+// topKLong selects the k best hits from a threshold scan of the suffix
+// range at τ = 0, which drops exactly the LogZero windows.
+func (e *Engine) topKLong(m, lo, hi, k int, st *QueryStats) []Hit {
+	var out []Hit
+	e.queryScan(m, lo, hi, 0, func(j int, lp float64) { out = append(out, e.hitAt(j, lp)) }, st)
 	sortHitsByProb(out)
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out, nil
+	return out
 }
 
 // sortHitsByProb orders hits by decreasing probability (stable on position
@@ -147,83 +123,4 @@ func sortHitsByProb(hs []Hit) {
 		}
 		return hs[a].Orig < hs[b].Orig
 	})
-}
-
-// Count returns the number of non-duplicate occurrences of p with
-// probability strictly greater than tau, without materialising them.
-func (e *Engine) Count(p []byte, tau float64) (int, error) {
-	return e.CountCosted(p, tau, nil)
-}
-
-// CountCosted is Count accumulating cost counters into st (nil records
-// nothing).
-func (e *Engine) CountCosted(p []byte, tau float64, st *QueryStats) (int, error) {
-	n := 0
-	err := e.iterate(p, tau, func(Hit) bool { n++; return true }, st)
-	return n, err
-}
-
-// Iterate streams hits in decreasing probability order (for short patterns;
-// long patterns arrive unordered) until the callback returns false or the
-// probability falls to tau.
-func (e *Engine) Iterate(p []byte, tau float64, visit func(Hit) bool) error {
-	return e.iterate(p, tau, visit, nil)
-}
-
-func (e *Engine) iterate(p []byte, tau float64, visit func(Hit) bool, st *QueryStats) error {
-	if err := e.validate(p, tau); err != nil {
-		return err
-	}
-	lo, hi, ok, probes := e.tx.RangeCount(p)
-	st.add(0, int64(probes), int64(probes)*int64(4+len(p)))
-	if !ok {
-		return nil
-	}
-	m := len(p)
-	if m > e.levels {
-		// Long patterns: reuse the existing paths, then stream the batch.
-		var hits []Hit
-		collect := func(j int, lp float64) {
-			x := e.tx.SA()[j]
-			hits = append(hits, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: lp})
-		}
-		if m <= e.longHi {
-			e.queryLong(m, lo, hi, tau, collect, st)
-		} else {
-			e.queryScan(m, lo, hi, tau, collect, st)
-		}
-		for _, h := range hits {
-			if !visit(h) {
-				return nil
-			}
-		}
-		return nil
-	}
-	// Short patterns: best-first heap gives globally decreasing order with
-	// early termination.
-	level := e.short[m-1]
-	var h fragHeap
-	var pushes int64
-	push := func(l, r int) {
-		if l > r {
-			return
-		}
-		pushes++
-		j := level.Max(l, r)
-		if lp := e.ci(m, j); prob.Greater(lp, tau) {
-			heap.Push(&h, fragment{l, r, j, lp})
-		}
-	}
-	push(lo, hi)
-	for h.Len() > 0 {
-		f := heap.Pop(&h).(fragment)
-		x := e.tx.SA()[f.j]
-		if !visit(Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: f.lp}) {
-			break
-		}
-		push(f.l, f.j-1)
-		push(f.j+1, f.r)
-	}
-	st.add(pushes, pushes, pushes*plainCandidateBytes)
-	return nil
 }

@@ -26,7 +26,7 @@ func TestTopKMatchesSortedFullResults(t *testing.T) {
 	for _, m := range []int{2, 3, 5} {
 		for _, p := range gen.Patterns(s, 10, m, 227) {
 			// Full list at the lowest supported threshold.
-			full, err := ix.SearchHits(p, ix.TauMin())
+			full, err := ix.SearchHitsCosted(p, ix.TauMin(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestTopKMatchesSortedFullResults(t *testing.T) {
 				return full[a].LogProb > full[b].LogProb
 			})
 			for _, k := range []int{1, 3, 10, len(full) + 5} {
-				top, err := ix.SearchTopK(p, k)
+				top, err := ix.SearchTopKCosted(p, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +64,7 @@ func TestTopKOrderingAndUniqueness(t *testing.T) {
 	ix := buildTestIndex(t, 3000, 0.4, 229)
 	for _, m := range []int{2, 4, 18} { // 18 exercises the long-pattern path
 		for _, p := range gen.Patterns(ix.Source(), 10, m, 233) {
-			top, err := ix.SearchTopK(p, 20)
+			top, err := ix.SearchTopKCosted(p, 20, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,13 +89,13 @@ func TestTopKOrderingAndUniqueness(t *testing.T) {
 
 func TestTopKEdgeCases(t *testing.T) {
 	ix := buildTestIndex(t, 500, 0.3, 239)
-	if got, err := ix.SearchTopK([]byte("A"), 0); err != nil || got != nil {
+	if got, err := ix.SearchTopKCosted([]byte("A"), 0, nil); err != nil || got != nil {
 		t.Errorf("k=0: %v, %v", got, err)
 	}
-	if _, err := ix.SearchTopK(nil, 5); err == nil {
+	if _, err := ix.SearchTopKCosted(nil, 5, nil); err == nil {
 		t.Error("empty pattern accepted")
 	}
-	if got, err := ix.SearchTopK([]byte("zz"), 5); err != nil || got != nil {
+	if got, err := ix.SearchTopKCosted([]byte("zz"), 5, nil); err != nil || got != nil {
 		t.Errorf("missing pattern: %v, %v", got, err)
 	}
 }
@@ -109,7 +109,7 @@ func TestCountMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n, err := ix.SearchCount(p, tau)
+				n, err := ix.SearchCountCosted(p, tau, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,60 +119,27 @@ func TestCountMatchesSearch(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ix.SearchCount([]byte("A"), 0.01); err == nil {
+	if _, err := ix.SearchCountCosted([]byte("A"), 0.01, nil); err == nil {
 		t.Error("tau below tauMin accepted by Count")
 	}
 }
 
-func TestIterateEarlyTermination(t *testing.T) {
-	ix := buildTestIndex(t, 3000, 0.4, 257)
-	p := gen.Patterns(ix.Source(), 1, 2, 263)[0]
-	full, err := ix.SearchHits(p, 0.1)
-	if err != nil {
-		t.Fatal(err)
+// TestCountAllocatesNoMoreThanSearch: a count runs the threshold traversal
+// without materialising its hits, so it may never allocate more than the
+// search that does. A frequent one-letter pattern makes a per-hit
+// allocation show as thousands.
+func TestCountAllocatesNoMoreThanSearch(t *testing.T) {
+	ix := buildTestIndex(t, 20000, 0.3, 5)
+	p := []byte("A")
+	const tau = 0.1
+	n, err := ix.SearchCountCosted(p, tau, nil)
+	if err != nil || n < 1000 {
+		t.Fatalf("count = %d, %v; want a frequent pattern", n, err)
 	}
-	if len(full) < 3 {
-		t.Skip("pattern too rare for the early-termination test")
-	}
-	var seen []Hit
-	err = ix.SearchIter(p, 0.1, func(h Hit) bool {
-		seen = append(seen, h)
-		return len(seen) < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("early termination visited %d hits, want 2", len(seen))
-	}
-	// Streaming order must agree with the batch query's best-first order.
-	for i := range seen {
-		if math.Abs(seen[i].LogProb-full[i].LogProb) > 1e-9 {
-			t.Fatalf("stream order diverges at %d", i)
-		}
-	}
-	if err := ix.SearchIter(p, 0.01, func(Hit) bool { return true }); err == nil {
-		t.Error("tau below tauMin accepted by Iterate")
-	}
-}
-
-func TestIterateLongPattern(t *testing.T) {
-	ix := buildTestIndex(t, 3000, 0.2, 269)
-	for _, p := range gen.Patterns(ix.Source(), 5, 20, 271) {
-		want, err := ix.Search(p, 0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []int
-		if err := ix.SearchIter(p, 0.15, func(h Hit) bool {
-			got = append(got, int(h.Orig))
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sort.Ints(got)
-		if !equalIntSlices(got, want) {
-			t.Fatalf("Iterate long = %v, Search = %v", got, want)
-		}
+	var st QueryStats
+	search := testing.AllocsPerRun(5, func() { _, _ = ix.SearchHitsCosted(p, tau, &st) })
+	count := testing.AllocsPerRun(5, func() { _, _ = ix.SearchCountCosted(p, tau, &st) })
+	if count > search {
+		t.Fatalf("count allocates %v per call, search %v", count, search)
 	}
 }

@@ -474,22 +474,22 @@ func (c *Cluster) assertViewsIdentical(coll string, want, got *ingest.View) {
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(c.docs, 6, m, 131) {
 			for _, tau := range []float64{0.1, 0.15, 0.2} {
-				w, err := want.Search(p, tau)
+				w, err := want.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					c.t.Fatal(err)
 				}
-				g, err := got.Search(p, tau)
+				g, err := got.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					c.t.Fatal(err)
 				}
 				if !reflect.DeepEqual(g, w) && !(len(g) == 0 && len(w) == 0) {
 					c.t.Fatalf("%s: Search(%q, %v): node %v, reference %v", coll, p, tau, g, w)
 				}
-				wn, err := want.Count(p, tau)
+				wn, err := want.CountObs(nil, nil, p, tau)
 				if err != nil {
 					c.t.Fatal(err)
 				}
-				gn, err := got.Count(p, tau)
+				gn, err := got.CountObs(nil, nil, p, tau)
 				if err != nil {
 					c.t.Fatal(err)
 				}
@@ -499,11 +499,11 @@ func (c *Cluster) assertViewsIdentical(coll string, want, got *ingest.View) {
 				hits += len(w)
 			}
 			for _, k := range []int{1, 3, 10} {
-				w, err := want.TopK(p, k)
+				w, err := want.TopKObs(nil, nil, p, k)
 				if err != nil {
 					c.t.Fatal(err)
 				}
-				g, err := got.TopK(p, k)
+				g, err := got.TopKObs(nil, nil, p, k)
 				if err != nil {
 					c.t.Fatal(err)
 				}

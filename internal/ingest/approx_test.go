@@ -93,15 +93,15 @@ func TestIngestApproxCollection(t *testing.T) {
 		for _, m := range []int{2, 4} {
 			for _, p := range gen.CollectionPatterns(docs, 5, m, int64(271+m)) {
 				for _, tau := range []float64{0.2, 0.3} {
-					got, err := v.Search(p, tau)
+					got, err := v.SearchObs(nil, nil, p, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					upper, err := truth.Search(p, tau)
+					upper, err := truth.SearchObs(nil, nil, p, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					lower, err := truth.Search(p, tau-eps)
+					lower, err := truth.SearchObs(nil, nil, p, tau-eps)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -123,7 +123,7 @@ func TestIngestApproxCollection(t *testing.T) {
 							t.Fatalf("%s: Search(%q, %v) reported %+v below τ−ε", stage, p, tau, h)
 						}
 					}
-					n, err := v.Count(p, tau)
+					n, err := v.CountObs(nil, nil, p, tau)
 					if err != nil || n != len(got) {
 						t.Fatalf("%s: Count(%q, %v) = %d, %v; Search found %d", stage, p, tau, n, err, len(got))
 					}
@@ -135,7 +135,7 @@ func TestIngestApproxCollection(t *testing.T) {
 			t.Fatalf("%s: vacuous containment check", stage)
 		}
 		// TopK stays a typed rejection through the view's merge path.
-		if _, err := v.TopK([]byte("AC"), 3); !errors.Is(err, core.ErrUnsupportedQuery) {
+		if _, err := v.TopKObs(nil, nil, []byte("AC"), 3); !errors.Is(err, core.ErrUnsupportedQuery) {
 			t.Fatalf("%s: TopK on approx view: %v", stage, err)
 		}
 	}
@@ -195,8 +195,8 @@ func TestIngestApproxDefaultSpec(t *testing.T) {
 	if v.Spec() != want {
 		t.Fatalf("default spec = %s, want %s", v.Spec(), want)
 	}
-	// PutWithBackend naming the approx kind resolves to the store ε.
-	if _, err := st.PutWithBackend("c", "b", docs[1%len(docs)], core.BackendApprox); err != nil {
-		t.Fatalf("PutWithBackend(approx) against the store-default spec: %v", err)
+	// PutWithSpec naming only the approx kind resolves to the store ε.
+	if _, err := st.PutWithSpec("c", "b", docs[1%len(docs)], core.BackendSpec{Kind: core.BackendApprox}); err != nil {
+		t.Fatalf("PutWithSpec(approx) against the store-default spec: %v", err)
 	}
 }

@@ -27,7 +27,7 @@ func TestBackendSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PutWithBackend("c", "a", docs[0], core.BackendCompressed); err != nil {
+	if _, err := st.PutWithSpec("c", "a", docs[0], core.BackendSpec{Kind: core.BackendCompressed}); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range []string{"b", "d", "e"} {
@@ -36,8 +36,8 @@ func TestBackendSurvivesRestart(t *testing.T) {
 		}
 	}
 	// A conflicting backend on the live store fails loudly.
-	if _, err := st.PutWithBackend("c", "f", docs[5], core.BackendPlain); !errors.Is(err, ErrBackendMismatch) {
-		t.Fatalf("PutWithBackend mismatch error = %v, want ErrBackendMismatch", err)
+	if _, err := st.PutWithSpec("c", "f", docs[5], core.BackendSpec{Kind: core.BackendPlain}); !errors.Is(err, ErrBackendMismatch) {
+		t.Fatalf("PutWithSpec mismatch error = %v, want ErrBackendMismatch", err)
 	}
 	v, _ := st.Get("c")
 	pats := gen.CollectionPatterns(docs, 6, 3, 167)
@@ -47,11 +47,11 @@ func TestBackendSurvivesRestart(t *testing.T) {
 	}
 	before := make([]result, len(pats))
 	for i, p := range pats {
-		hits, err := v.Search(p, 0.12)
+		hits, err := v.SearchObs(nil, nil, p, 0.12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := v.Count(p, 0.12)
+		n, err := v.CountObs(nil, nil, p, 0.12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +77,14 @@ func TestBackendSurvivesRestart(t *testing.T) {
 		t.Fatal("restarted view reports no index bytes")
 	}
 	for i, p := range pats {
-		hits, err := v2.Search(p, 0.12)
+		hits, err := v2.SearchObs(nil, nil, p, 0.12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(hits, before[i].hits) && !(len(hits) == 0 && len(before[i].hits) == 0) {
 			t.Fatalf("Search(%q) diverged across restart", p)
 		}
-		n, err := v2.Count(p, 0.12)
+		n, err := v2.CountObs(nil, nil, p, 0.12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestEmptyBackendSidecarFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PutWithBackend("c", "a", docs[0], core.BackendCompressed); err != nil {
+	if _, err := st.PutWithSpec("c", "a", docs[0], core.BackendSpec{Kind: core.BackendCompressed}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

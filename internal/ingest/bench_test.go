@@ -92,7 +92,7 @@ func BenchmarkIngestPutUnderQueryLoad(b *testing.B) {
 				if !ok {
 					return
 				}
-				if _, err := v.Search(pats[(g+i)%len(pats)], 0.15); err != nil {
+				if _, err := v.SearchObs(nil, nil, pats[(g+i)%len(pats)], 0.15); err != nil {
 					b.Error(err)
 					return
 				}

@@ -47,7 +47,7 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 					return
 				}
 				p := pats[(g+i)%len(pats)]
-				hits, err := v.Search(p, 0.12)
+				hits, err := v.SearchObs(nil, nil, p, 0.12)
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
@@ -63,7 +63,7 @@ func TestConcurrentMutationAndQuery(t *testing.T) {
 						return
 					}
 				}
-				if _, err := v.TopK(p, 3); err != nil {
+				if _, err := v.TopKObs(nil, nil, p, 3); err != nil {
 					t.Errorf("topk: %v", err)
 					return
 				}

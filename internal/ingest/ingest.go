@@ -13,7 +13,7 @@
 //
 // A collection's index backend spec — the kind and, for the approximate
 // ε-index, its error bound — is fixed when the collection is created
-// (PutWithSpec/PutWithBackend, the seed catalog's choice, or the store
+// (PutWithSpec, the seed catalog's choice, or the store
 // default) and recorded in a sidecar file next to the WAL, so replay after
 // a restart rebuilds replayed documents into the same representation with
 // the same parameters. Exact backends change memory footprint and query
@@ -666,24 +666,10 @@ func validateDocID(id string) error {
 // the index (an invalid document is rejected before anything is logged),
 // append to the WAL (fsynced unless NoSync), then publish a fresh view. A
 // nil error means the mutation is durable and visible. A Put that creates
-// the collection uses the store's default index backend; PutWithBackend and
-// PutWithSpec name one explicitly.
+// the collection uses the store's default index backend; PutWithSpec names
+// one explicitly.
 func (st *Store) Put(coll, id string, doc *ustring.String) (PutResult, error) {
 	return st.PutWithSpec(coll, id, doc, core.BackendSpec{})
-}
-
-// PutWithBackend is Put with an explicit index backend kind for the
-// collection, with that kind's store-configured parameters (the approx kind
-// picks up the store's ε). Use PutWithSpec to control parameters per call.
-func (st *Store) PutWithBackend(coll, id string, doc *ustring.String, backend string) (PutResult, error) {
-	var req core.BackendSpec
-	if backend != "" {
-		var err error
-		if req, err = st.opts.Catalog.Spec(backend); err != nil {
-			return PutResult{}, err
-		}
-	}
-	return st.PutWithSpec(coll, id, doc, req)
 }
 
 // PutWithSpec is Put with an explicit index backend spec for the

@@ -20,7 +20,7 @@ import (
 // range-maximum structures, so the best-first extraction enumerates
 // documents in exact relevance order and stops after k.
 func (ix *Index) ListTopK(p []byte, k int) ([]Result, error) {
-	hits, err := ix.engine.TopK(p, k)
+	hits, err := ix.engine.TopKCosted(p, k, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -34,10 +34,10 @@ func (ix *Index) ListTopK(p []byte, k int) ([]Result, error) {
 // ListCount returns the number of documents containing p above tau without
 // materialising them.
 func (ix *Index) ListCount(p []byte, tau float64) (int, error) {
-	if tau < ix.tauMin-1e-9 {
-		return 0, fmt.Errorf("%w (tau=%v, tau_min=%v)", core.ErrTauBelowTauMin, tau, ix.tauMin)
+	if err := core.ValidateQuery(p, tau, ix.tauMin); err != nil {
+		return 0, err
 	}
-	return ix.engine.Count(p, tau)
+	return ix.engine.CountCosted(p, tau, nil)
 }
 
 // listingFormat tags the persisted layout.

@@ -173,12 +173,12 @@ func (ix *Index) List(p []byte, tau float64) ([]int, error) {
 // chosen metric. RelMax results arrive in decreasing relevance order; RelOR
 // results in document order.
 func (ix *Index) ListRelevance(p []byte, tau float64, metric Metric) ([]Result, error) {
-	if tau < ix.tauMin-prob.Eps {
-		return nil, fmt.Errorf("%w (tau=%v, tau_min=%v)", core.ErrTauBelowTauMin, tau, ix.tauMin)
+	if err := core.ValidateQuery(p, tau, ix.tauMin); err != nil {
+		return nil, err
 	}
 	switch metric {
 	case RelMax:
-		hits, err := ix.engine.Query(p, tau)
+		hits, err := ix.engine.QueryCosted(p, tau, nil)
 		if err != nil {
 			return nil, err
 		}

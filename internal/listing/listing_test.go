@@ -1,10 +1,12 @@
 package listing
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/prob"
 	"repro/internal/ustring"
@@ -239,6 +241,19 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := ix.List(nil, 0.2); err == nil {
 		t.Error("empty pattern accepted")
+	}
+	// Listing validates in the order every index does: the pattern before
+	// the threshold, for each query and metric.
+	for _, metric := range []Metric{RelMax, RelOR} {
+		if _, err := ix.ListRelevance(nil, 0.01, metric); !errors.Is(err, core.ErrEmptyPattern) {
+			t.Errorf("metric %d: empty pattern below tau_min: %v, want ErrEmptyPattern", metric, err)
+		}
+		if _, err := ix.ListRelevance([]byte("B"), 1.5, metric); !errors.Is(err, core.ErrTauOutOfRange) {
+			t.Errorf("metric %d: tau 1.5: %v, want ErrTauOutOfRange", metric, err)
+		}
+	}
+	if _, err := ix.ListCount(nil, 0.01); !errors.Is(err, core.ErrEmptyPattern) {
+		t.Errorf("ListCount: empty pattern below tau_min: %v, want ErrEmptyPattern", err)
 	}
 	if _, err := ix.ListRelevance([]byte("B"), 0.2, Metric(99)); err == nil {
 		t.Error("unknown metric accepted")

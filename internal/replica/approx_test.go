@@ -102,11 +102,11 @@ func TestReplicationApproxChain(t *testing.T) {
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(docs, 5, m, 293) {
 			for _, tau := range []float64{0.2, 0.3} {
-				pGot, err := pv.Search(p, tau)
+				pGot, err := pv.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fGot, err := fv.Search(p, tau)
+				fGot, err := fv.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,11 +120,11 @@ func TestReplicationApproxChain(t *testing.T) {
 						t.Fatalf("Search(%q, %v) hit %d: primary %+v, follower %+v", p, tau, i, pGot[i], fGot[i])
 					}
 				}
-				upper, err := truth.Search(p, tau)
+				upper, err := truth.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lower, err := truth.Search(p, tau-eps)
+				lower, err := truth.SearchObs(nil, nil, p, tau-eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,11 +146,11 @@ func TestReplicationApproxChain(t *testing.T) {
 						t.Fatalf("Search(%q, %v): replicated approx reported %+v below τ−ε", p, tau, h)
 					}
 				}
-				pn, err := pv.Count(p, tau)
+				pn, err := pv.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fn, err := fv.Count(p, tau)
+				fn, err := fv.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -103,11 +103,11 @@ func TestReplicationEquivalenceCompressed(t *testing.T) {
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(docs, 5, m, 151) {
 			for _, tau := range []float64{0.1, 0.2} {
-				want, err := col.Search(p, tau)
+				want, err := col.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := fv.Search(p, tau)
+				got, err := fv.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,11 +117,11 @@ func TestReplicationEquivalenceCompressed(t *testing.T) {
 				hits += len(want)
 			}
 			for _, k := range []int{1, 5} {
-				want, err := col.TopK(p, k)
+				want, err := col.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := fv.TopK(p, k)
+				got, err := fv.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -61,7 +61,7 @@ func TestConcurrentReplicationAndQuery(t *testing.T) {
 					return
 				}
 				p := pats[(g+i)%len(pats)]
-				hits, err := v.Search(p, 0.12)
+				hits, err := v.SearchObs(nil, nil, p, 0.12)
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
@@ -77,7 +77,7 @@ func TestConcurrentReplicationAndQuery(t *testing.T) {
 						return
 					}
 				}
-				if _, err := v.TopK(p, 3); err != nil {
+				if _, err := v.TopKObs(nil, nil, p, 3); err != nil {
 					t.Errorf("topk: %v", err)
 					return
 				}
@@ -204,7 +204,7 @@ func TestConcurrentPromotionHammer(t *testing.T) {
 					return
 				}
 				p := pats[(g+i)%len(pats)]
-				hits, err := v.Search(p, 0.12)
+				hits, err := v.SearchObs(nil, nil, p, 0.12)
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return

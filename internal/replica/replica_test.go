@@ -199,22 +199,22 @@ func assertViewsIdentical(t *testing.T, primary, follower *ingest.View, docs []*
 	for _, m := range []int{2, 4} {
 		for _, p := range gen.CollectionPatterns(docs, 6, m, 131) {
 			for _, tau := range []float64{0.1, 0.15, 0.2} {
-				want, err := primary.Search(p, tau)
+				want, err := primary.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := follower.Search(p, tau)
+				got, err := follower.SearchObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 					t.Fatalf("Search(%q, %v): follower %v, primary %v", p, tau, got, want)
 				}
-				wantN, err := primary.Count(p, tau)
+				wantN, err := primary.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, err := follower.Count(p, tau)
+				gotN, err := follower.CountObs(nil, nil, p, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,11 +224,11 @@ func assertViewsIdentical(t *testing.T, primary, follower *ingest.View, docs []*
 				hits += len(want)
 			}
 			for _, k := range []int{1, 3, 10} {
-				want, err := primary.TopK(p, k)
+				want, err := primary.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := follower.TopK(p, k)
+				got, err := follower.TopKObs(nil, nil, p, k)
 				if err != nil {
 					t.Fatal(err)
 				}

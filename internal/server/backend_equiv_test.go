@@ -207,7 +207,7 @@ func TestStatsMemorySection(t *testing.T) {
 	if _, err := cat.Add("p", docs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.AddWithBackend("z", docs, core.BackendCompressed); err != nil {
+	if _, err := cat.AddWithSpec("z", docs, core.BackendSpec{Kind: core.BackendCompressed}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(cat, Config{})

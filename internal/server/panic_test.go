@@ -68,7 +68,7 @@ func TestShardPanicIs500(t *testing.T) {
 	var body errorResponse
 	get(t, s, "/v1/topk?collection=bad&k=3&p="+url.QueryEscape(p), http.StatusInternalServerError, &body)
 
-	want, err := good.Search([]byte(p), 0.15)
+	want, err := good.SearchObs(nil, nil, []byte(p), 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

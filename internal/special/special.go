@@ -138,7 +138,7 @@ func (ix *Index) corrAdjust(xStart, length int) float64 {
 // Search reports every position where p occurs with probability strictly
 // greater than tau, in increasing order.
 func (ix *Index) Search(p []byte, tau float64) ([]int, error) {
-	hits, err := ix.engine.Query(p, tau)
+	hits, err := ix.engine.QueryCosted(p, tau, nil)
 	if err != nil || len(hits) == 0 {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func (ix *Index) Search(p []byte, tau float64) ([]int, error) {
 
 // SearchHits is Search with probabilities, in decreasing probability order.
 func (ix *Index) SearchHits(p []byte, tau float64) ([]core.Hit, error) {
-	return ix.engine.Query(p, tau)
+	return ix.engine.QueryCosted(p, tau, nil)
 }
 
 // OccurrenceProb returns the (correlation-corrected) probability that p

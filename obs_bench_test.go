@@ -33,7 +33,7 @@ const obsOverheadLimit = 1.02
 // searchRaw is the uninstrumented baseline: the query path with a nil
 // trace and no metrics, as library callers drive it.
 func searchRaw(col *catalog.Collection, p []byte) error {
-	_, err := col.Search(p, backendBenchTau)
+	_, err := col.SearchObs(nil, nil, p, backendBenchTau)
 	return err
 }
 

@@ -10,8 +10,8 @@ import (
 
 // TestSharedIndexHammer exercises the documented concurrency guarantee: one
 // shared Index queried from many goroutines with a mix of Search,
-// SearchHits, SearchTopK, SearchCount and SearchIter must be race-free (run
-// with -race) and agree with the serial baseline throughout.
+// SearchHitsCosted, SearchTopKCosted and SearchCountCosted must be race-free
+// (run with -race) and agree with the serial baseline throughout.
 func TestSharedIndexHammer(t *testing.T) {
 	s := uncertain.GenerateString(uncertain.GenConfig{N: 4000, Theta: 0.3, Seed: 101})
 	ix, err := uncertain.NewIndex(s, 0.1)
@@ -35,13 +35,13 @@ func TestSharedIndexHammer(t *testing.T) {
 		if want[i].positions, err = ix.Search(p, tau); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].hits, err = ix.SearchHits(p, tau); err != nil {
+		if want[i].hits, err = ix.SearchHitsCosted(p, tau, nil); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].top, err = ix.SearchTopK(p, 4); err != nil {
+		if want[i].top, err = ix.SearchTopKCosted(p, 4, nil); err != nil {
 			t.Fatal(err)
 		}
-		if want[i].count, err = ix.SearchCount(p, tau); err != nil {
+		if want[i].count, err = ix.SearchCountCosted(p, tau, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestSharedIndexHammer(t *testing.T) {
 			for round := 0; round < 25; round++ {
 				i := (w*3 + round) % len(pats)
 				p := pats[i]
-				switch round % 5 {
+				switch round % 4 {
 				case 0:
 					got, err := ix.Search(p, tau)
 					if err != nil || !reflect.DeepEqual(got, want[i].positions) {
@@ -63,28 +63,21 @@ func TestSharedIndexHammer(t *testing.T) {
 						return
 					}
 				case 1:
-					got, err := ix.SearchHits(p, tau)
+					got, err := ix.SearchHitsCosted(p, tau, nil)
 					if err != nil || !reflect.DeepEqual(got, want[i].hits) {
 						errs <- "SearchHits diverged under concurrency"
 						return
 					}
 				case 2:
-					got, err := ix.SearchTopK(p, 4)
+					got, err := ix.SearchTopKCosted(p, 4, nil)
 					if err != nil || !reflect.DeepEqual(got, want[i].top) {
 						errs <- "SearchTopK diverged under concurrency"
 						return
 					}
 				case 3:
-					got, err := ix.SearchCount(p, tau)
+					got, err := ix.SearchCountCosted(p, tau, nil)
 					if err != nil || got != want[i].count {
 						errs <- "SearchCount diverged under concurrency"
-						return
-					}
-				default:
-					n := 0
-					err := ix.SearchIter(p, tau, func(uncertain.Hit) bool { n++; return true })
-					if err != nil || n != want[i].count {
-						errs <- "SearchIter diverged under concurrency"
 						return
 					}
 				}

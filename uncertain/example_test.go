@@ -38,10 +38,10 @@ func ExampleNewIndex() {
 	// Output: [3]
 }
 
-func ExampleIndex_SearchHits() {
+func ExampleIndex_SearchHitsCosted() {
 	s := uncertain.Must(uncertain.Parse(strings.NewReader(banana)))
 	ix := uncertain.Must(uncertain.NewIndex(s, 0.1))
-	hits := uncertain.Must(ix.SearchHits([]byte("ana"), 0.2))
+	hits := uncertain.Must(ix.SearchHitsCosted([]byte("ana"), 0.2, nil))
 	for _, h := range hits {
 		fmt.Printf("position %d probability %.3f\n", h.Orig, h.Prob())
 	}
@@ -50,10 +50,10 @@ func ExampleIndex_SearchHits() {
 	// position 1 probability 0.280
 }
 
-func ExampleIndex_SearchTopK() {
+func ExampleIndex_SearchTopKCosted() {
 	s := uncertain.Must(uncertain.Parse(strings.NewReader(banana)))
 	ix := uncertain.Must(uncertain.NewIndex(s, 0.1))
-	top := uncertain.Must(ix.SearchTopK([]byte("an"), 1))
+	top := uncertain.Must(ix.SearchTopKCosted([]byte("an"), 1, nil))
 	fmt.Printf("best: position %d (%.2f)\n", top[0].Orig, top[0].Prob())
 	// Output: best: position 3 (0.72)
 }

@@ -36,10 +36,11 @@
 // # Serving
 //
 // Catalog manages many documents behind one query surface: documents are
-// spread over shards, each indexed whole, and Search/TopK/Count fan out
-// across the shards concurrently and merge the results. cmd/ustridxd serves
-// a catalog over HTTP/JSON. The index backend is pluggable per collection
-// (CatalogOptions.Backend / Catalog.AddWithBackend / AddWithSpec): the
+// spread over shards, each indexed whole, and a Collection's SearchObs,
+// TopKObs and CountObs fan out across the shards concurrently and merge the
+// results (pass nil for the trace and the cost to record nothing).
+// cmd/ustridxd serves a catalog over HTTP/JSON. The index backend is
+// pluggable per collection (CatalogOptions.Backend / Catalog.AddWithSpec): the
 // plain backend is the paper's structure, the compressed backend answers
 // from an FM-index at a several-fold smaller footprint — bit-identically —
 // and the approx backend serves the Section 7 ε-index, trading an additive
@@ -265,7 +266,11 @@ func ReadIndex(r io.Reader) (*Index, error) { return core.ReadIndex(r) }
 // τ ≥ tauMin, with that kind's default parameters. Exact backends answer
 // queries bit-identically; the approx backend under DefaultEpsilon.
 func NewIndexBackend(kind string, s *String, tauMin float64) (IndexBackend, error) {
-	return core.BuildBackend(kind, s, tauMin)
+	spec, err := core.NewBackendSpec(kind, 0)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Build(s, tauMin)
 }
 
 // NewApproxBackend builds the approximate serving backend with additive

@@ -140,7 +140,7 @@ func bench10Query(t *testing.T, col *catalog.Collection, pats [][]byte) int64 {
 	for run := 0; run < 3; run++ {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := col.Search(pats[i%len(pats)], bench10Tau); err != nil {
+				if _, err := col.SearchObs(nil, nil, pats[i%len(pats)], bench10Tau); err != nil {
 					b.Fatal(err)
 				}
 			}
